@@ -1,23 +1,17 @@
-"""Kernel-tier benchmarks: graph-compose kernels and the t* squaring search.
+"""Static-schedule squaring benchmark: the t* repeated-squaring search.
 
-Two measurement families, both persisted into ``benchmarks/BENCH_kernels.json``
-(same merge-by-key convention as ``BENCH_load.json``, plus a ``machine``
-block from :func:`repro.core.kernels.machine_info`):
+Persisted into ``benchmarks/BENCH_kernels.json`` (same merge-by-key
+convention as ``BENCH_load.json``, plus a ``machine`` block from
+:func:`repro.core.kernels.machine_info`):
 
-* ``compose_*`` -- one bitset graph-composition step per registered
-  kernel (``word-or`` / ``blas`` / ``gather``) on a dense (density 0.3)
-  and a sparse (mean degree ~8) random graph, with the dense int32
-  ``bool_product`` reference timed up to n = 1024.  The acceptance
-  number: at n = 4096 the *dispatched* kernel must be >= 5x faster than
-  the word-OR baseline on the dense cell.
 * ``tstar_*`` -- completion search on the static path (t* = n - 1):
   repeated-squaring fast path vs the compiled round-by-round loop
   (``use_squaring=False``).  The acceptance number: >= 10x at n >= 1024
   (t* = 1023 >= 512), with identical t*.
 
-The n = 4096 cells are additionally gated behind ``REPRO_BENCH_FULL=1``
+The n = 4096 cell is additionally gated behind ``REPRO_BENCH_FULL=1``
 so the default tier-1 run stays fast; CI's bench-smoke deselects every
-big-n id via ``-k`` and only exercises the n = 64 smoke cells.
+big-n id via ``-k`` and only exercises the n = 64 smoke cell.
 
 Usage::
 
@@ -31,29 +25,19 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable
 
-import numpy as np
 import pytest
 
 from repro.adversaries.paths import StaticPathAdversary
 from repro.core import kernels as K
-from repro.core import matrix as M
-from repro.core.backend import get_backend
 from repro.engine.executor import RunSpec, SequentialExecutor
 
 RESULTS_PATH = Path(__file__).with_name("BENCH_kernels.json")
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
-#: The int32 matmul reference is timed only up to this n (it is the seed
-#: semantics, not a contender, and is minutes-slow at n = 4096).
-DENSE_REFERENCE_MAX_N = 1024
-
-COMPOSE_NS = [64, 256, 1024, 4096]
 TSTAR_NS = [64, 1024, 4096]
-
-BITSET = get_backend("bitset")
 
 
 def _require(n: int) -> None:
@@ -82,84 +66,6 @@ def _persist(key: str, payload: dict) -> None:
     RESULTS_PATH.write_text(
         json.dumps(existing, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _graphs(n: int) -> Dict[str, np.ndarray]:
-    rng = np.random.default_rng(n)
-    dense_g = rng.random((n, n)) < 0.3
-    sparse_g = rng.random((n, n)) < (8.0 / n)
-    np.fill_diagonal(dense_g, True)
-    np.fill_diagonal(sparse_g, True)
-    return {"dense": dense_g, "sparse": sparse_g}
-
-
-@pytest.mark.table
-@pytest.mark.parametrize("n", COMPOSE_NS)
-def test_compose_kernels(n, report_sink):
-    """Time every bitset kernel on one composition step; persist + assert."""
-    _require(n)
-    rng = np.random.default_rng(n + 1)
-    a = rng.random((n, n)) < 0.4
-    np.fill_diagonal(a, True)
-    mat = BITSET.from_dense(a)
-    repeats = 2 if n >= 4096 else 3
-
-    doc: dict = {"n": n, "cells": {}}
-    for flavor, g in _graphs(n).items():
-        seconds: Dict[str, float] = {}
-        baseline = None
-        for kernel in K.available_kernels("bitset"):
-            with K.use_kernel(kernel):
-                seconds[kernel] = _best_of(
-                    lambda: BITSET.compose_with_graph(mat, g), repeats
-                )
-        if n <= DENSE_REFERENCE_MAX_N:
-            seconds["dense-reference"] = _best_of(lambda: M.bool_product(a, g), 1)
-        dispatched = K.choose_kernel("bitset", n, g)
-        baseline = seconds["word-or"]
-        cell = {
-            "graph": flavor,
-            "degree": round(float(np.count_nonzero(g)) / n, 1),
-            "dispatched": dispatched,
-            "seconds": {k: round(v, 6) for k, v in seconds.items()},
-            "speedup_vs_word_or": {
-                k: round(baseline / v, 2) for k, v in seconds.items() if v > 0
-            },
-        }
-        if "dense-reference" in seconds:
-            cell["speedup_vs_dense"] = {
-                k: round(seconds["dense-reference"] / v, 2)
-                for k, v in seconds.items()
-                if v > 0
-            }
-        doc["cells"][flavor] = cell
-        report_sink.append(
-            f"[kernels] compose n={n} {flavor}: dispatched={dispatched} "
-            + " ".join(f"{k}={v:.4f}s" for k, v in seconds.items())
-        )
-        # Correctness is pinned by tests/; here just sanity-check dispatch:
-        # the chosen kernel must never lose to word-or by more than noise.
-        if n >= 256:
-            assert seconds[dispatched] <= baseline * 1.25, (n, flavor, seconds)
-
-    if n >= 4096:
-        # Acceptance: the dispatched kernel beats the word-OR baseline by
-        # >= 5x at n = 4096 on at least one graph regime (the sparse cell
-        # carries this by a wide margin via gather; the dense cell's BLAS
-        # win is bounded by the ~1.5-2s sgemm floor on this 1-CPU host,
-        # so it gets a softer regression canary instead of the 5x bar).
-        best = max(
-            cell["speedup_vs_word_or"][cell["dispatched"]]
-            for cell in doc["cells"].values()
-        )
-        doc["acceptance_min_speedup"] = 5.0
-        doc["acceptance_speedup"] = best
-        assert best >= 5.0, doc["cells"]
-        dense_cell = doc["cells"]["dense"]
-        assert dense_cell["speedup_vs_word_or"][dense_cell["dispatched"]] >= 2.0, (
-            dense_cell
-        )
-    _persist(f"compose_n{n}", doc)
 
 
 @pytest.mark.table
@@ -206,7 +112,5 @@ def test_results_file_is_well_formed():
     assert "machine" in doc
     assert {"platform", "numpy", "cpus"} <= set(doc["machine"])
     for key, cell in doc.items():
-        if key.startswith("compose_"):
-            assert cell["cells"]["dense"]["seconds"], key
         if key.startswith("tstar_"):
             assert cell["seconds"]["squaring"] > 0, key

@@ -39,7 +39,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.backend import MatrixBackend, register_backend
-from repro.errors import DimensionMismatchError
 
 #: Bits per storage word.
 WORD_BITS = 64
@@ -69,40 +68,6 @@ def _unpack_bits(packed: np.ndarray, n: int) -> np.ndarray:
     contiguous = np.ascontiguousarray(packed)
     by = contiguous.view(np.uint8).reshape(contiguous.shape[:-1] + (-1,))
     return np.unpackbits(by, axis=-1, count=n, bitorder="little")
-
-
-#: Byte budget for the masked ``(chunk, n, words)`` uint64 temporary of
-#: :func:`bool_product_words`.  The old heuristic divided ``1 << 22`` by
-#: the *element* count, so the temporary actually peaked at 8x the bytes
-#: the docstring promised; sizing by bytes makes the bound real.
-OR_CHUNK_BYTES = 1 << 25
-
-
-def or_chunk_rows(n: int, words: int) -> int:
-    """Output rows per :func:`bool_product_words` chunk under the budget."""
-    return max(1, OR_CHUNK_BYTES // max(1, n * words * 8))
-
-
-def bool_product_words(mat: np.ndarray, dense_graph: np.ndarray) -> np.ndarray:
-    """Word-parallel ``R ∘ G`` for a packed handle and a dense round graph.
-
-    ``(x, y) ∈ R ∘ G`` iff some ``z`` has ``R[x, z]`` and ``G[z, y]``; in
-    heard-of space that is ``heard'[y] = OR over {z : G[z, y]} of heard[z]``
-    -- an OR-reduction of whole packed rows selected by column ``y`` of
-    ``G``, replacing the dense boolean matmul with ``n³/64`` word ops.
-    The reduction is chunked over ``y`` so the masked ``(chunk, n, words)``
-    temporary stays within :data:`OR_CHUNK_BYTES` at any ``n``.
-    """
-    n, words = mat.shape
-    g = np.asarray(dense_graph, dtype=np.bool_)
-    out = np.zeros_like(mat)
-    rows_in = g.T[:, :, None]  # (y, z, 1): which heard[z] feed result row y
-    chunk = or_chunk_rows(n, words)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        sel = np.where(rows_in[start:stop], mat[None, :, :], np.uint64(0))
-        np.bitwise_or.reduce(sel, axis=1, out=out[start:stop])
-    return out
 
 
 class BitsetBackend(MatrixBackend):
@@ -140,17 +105,6 @@ class BitsetBackend(MatrixBackend):
 
     def compose_with_tree(self, mat: np.ndarray, parent: np.ndarray) -> np.ndarray:
         return mat | mat[parent]
-
-    def compose_with_graph(self, mat: np.ndarray, dense_graph: np.ndarray) -> np.ndarray:
-        from repro.core import kernels
-        from repro.core import matrix as M
-
-        g = M.validate_adjacency(dense_graph)
-        if g.shape[0] != mat.shape[0]:
-            raise DimensionMismatchError(
-                f"cannot compose graphs over {mat.shape[0]} and {g.shape[0]} nodes"
-            )
-        return kernels.graph_compose(self, mat, g)
 
     def compose_with_tree_inplace(self, mat: np.ndarray, parent: np.ndarray) -> np.ndarray:
         # mat[parent] is a fancy-indexed copy, so writing into mat is safe.
@@ -236,15 +190,9 @@ class BitsetBackend(MatrixBackend):
 # leave the backend unregistered there so requesting it fails loudly.
 if sys.byteorder == "little":
     register_backend(BitsetBackend())
-    # The optional numba backend shares this packed layout; its module
-    # registers itself only when numba is importable (no hard dependency).
-    from repro.core import backend_numba as _backend_numba  # noqa: E402,F401
 
 __all__ = [
-    "OR_CHUNK_BYTES",
     "WORD_BITS",
     "BitsetBackend",
-    "bool_product_words",
-    "or_chunk_rows",
     "words_for",
 ]

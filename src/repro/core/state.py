@@ -212,7 +212,7 @@ class BroadcastState:
             self._backend.compose_with_tree_inplace(self._mat, parents)
             return
         observer(
-            getattr(self._backend, "kernel_namespace", self._backend.name),
+            self._backend.name,
             "tree-compose",
             self._n,
             lambda: self._backend.compose_with_tree_inplace(self._mat, parents),
@@ -246,7 +246,16 @@ class BroadcastState:
         not a tree.  The graph must be reflexive, preserving monotonicity.
         """
         g = M.validate_adjacency(adjacency, require_reflexive=True)
-        new_mat = self._backend.compose_with_graph(self._mat, g)
+        observer = _kernels._compose_observer
+        if observer is None:
+            new_mat = self._backend.compose_with_graph(self._mat, g)
+        else:
+            new_mat = observer(
+                self._backend.name,
+                "graph-compose",
+                self._n,
+                lambda: self._backend.compose_with_graph(self._mat, g),
+            )
         return BroadcastState._wrap(new_mat, self._n, self._round + 1, self._backend)
 
     def would_stall(self, tree: RootedTree) -> FrozenSet[int]:

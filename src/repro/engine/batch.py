@@ -194,7 +194,7 @@ class BatchRunner:
             self._backend.batch_compose_inplace(self._bmat, parents)
         else:
             observer(
-                getattr(self._backend, "kernel_namespace", self._backend.name),
+                self._backend.name,
                 "batch-compose",
                 self._n,
                 lambda: self._backend.batch_compose_inplace(self._bmat, parents),

@@ -3,10 +3,10 @@
 Two complementary views of where engine time goes:
 
 * **Kernel profile** -- every compose that flows through the kernel seam
-  (:func:`repro.core.kernels.graph_compose`, the repeated-squaring t*
-  search, and the backend tree-compose the executor hot loops drive via
-  :class:`~repro.core.state.BroadcastState`) is counted and timed under
-  ``(backend namespace, kernel name, n-bucket)``.  Buckets are powers of
+  (the tree and graph composes of :class:`~repro.core.state.BroadcastState`,
+  the batched compose of :class:`~repro.engine.batch.BatchRunner`, and the
+  repeated-squaring t* search) is counted and timed under
+  ``(backend name, kernel name, n-bucket)``.  Buckets are powers of
   two (``n<=64``, ``n<=128``, ...) so a long-lived service aggregates
   usefully instead of accumulating one row per distinct ``n``.
 * **Phase profile** -- executors split each run into *decision* time

@@ -562,11 +562,6 @@ class JobScheduler:
             doc["tenants"] = self.tenancy.metrics()
         if self._fleet is not None:
             doc["fleet"] = self._fleet.metrics()
-        # Execution detail only: kernel choice never enters spec digests,
-        # so operators can flip REPRO_KERNEL without invalidating caches.
-        from repro.core.kernels import kernel_table
-
-        doc["kernels"] = kernel_table()
         return doc
 
     def queue_depth(self) -> int:

@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 from repro.adversaries.beam import BeamSearchAdversary
 from repro.adversaries.greedy import GreedyDelayAdversary, score_tree
 from repro.adversaries.zeiner import CyclicFamilyAdversary
-from repro.core import kernels
-from repro.core import matrix as M
-from repro.core.backend import available_backends, get_backend
+from repro.core.backend import get_backend
 from repro.core.broadcast import run_adversary, run_sequence
 from repro.core.product import product_of_trees
 from repro.core.state import BroadcastState
@@ -176,67 +174,3 @@ def test_backend_conversion_between_states():
     assert other.backend is BITSET
     assert other == state
     assert (other.reach_matrix == state.reach_matrix).all()
-
-
-# ----------------------------------------------------------------------
-# Kernel sweeps: every graph-compose kernel is a drop-in replacement
-# ----------------------------------------------------------------------
-
-
-class TestKernelSweep:
-    """Force each registered kernel and re-check cross-backend equality.
-
-    ``REPRO_KERNEL`` must never be observable in results -- only in
-    wall-clock.  These sweeps drive the same randomized matrices through
-    every kernel registered for each backend and demand byte equality
-    with the ``bool_product`` reference.
-    """
-
-    @pytest.mark.parametrize("kernel", kernels.available_kernels("bitset"))
-    @pytest.mark.parametrize("n", [1, 17, 33, 64, 96, 128])
-    def test_forced_bitset_kernel_matches_reference(self, kernel, n, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, kernel)
-        rng = np.random.default_rng(7000 + n)
-        a = rng.random((n, n)) < 0.4
-        np.fill_diagonal(a, True)
-        g = rng.random((n, n)) < 0.3
-        np.fill_diagonal(g, True)
-        got = BITSET.to_dense(BITSET.compose_with_graph(BITSET.from_dense(a), g))
-        assert (got == M.bool_product(a, g)).all()
-
-    @pytest.mark.parametrize("kernel", kernels.available_kernels("dense"))
-    @pytest.mark.parametrize("n", [1, 17, 64, 128])
-    def test_forced_dense_kernel_matches_reference(self, kernel, n, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, kernel)
-        rng = np.random.default_rng(8000 + n)
-        a = rng.random((n, n)) < 0.4
-        np.fill_diagonal(a, True)
-        g = rng.random((n, n)) < 0.3
-        np.fill_diagonal(g, True)
-        got = DENSE.compose_with_graph(a.copy(), g)
-        assert (got == M.bool_product(a, g)).all()
-
-    @pytest.mark.parametrize("kernel", kernels.available_kernels("bitset"))
-    def test_product_of_trees_invariant_under_kernel(self, kernel):
-        n = 65
-        rng = np.random.default_rng(65)
-        trees = [random_tree(n, rng) for _ in range(5)]
-        want = product_of_trees(trees, backend="dense")
-        with kernels.use_kernel(kernel):
-            got = product_of_trees(trees, backend="bitset")
-        assert (got == want).all()
-
-
-@pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba not installed"
-)
-@pytest.mark.parametrize("n", [1, 33, 65, 128])
-def test_numba_backend_agrees_with_dense(n):
-    """When importable, the numba backend joins the equivalence net."""
-    rng = np.random.default_rng(9000 + n)
-    trees = _random_sequence(n, rng)
-    dense = run_sequence(trees, n=n, stop_at_broadcast=False, backend="dense")
-    packed = run_sequence(trees, n=n, stop_at_broadcast=False, backend="numba")
-    assert dense.t_star == packed.t_star
-    assert dense.broadcasters == packed.broadcasters
-    assert (dense.final_state.reach_matrix == packed.final_state.reach_matrix).all()

@@ -1,12 +1,13 @@
-"""The word-parallel bitset ``bool_product`` against the dense reference.
+"""``compose_with_graph`` against the ``bool_product`` reference.
 
-The bitset backend used to fall back to dense boolean matmul for
-``compose_with_graph`` (the only kernel the nonsplit experiments need).
-:func:`repro.core.bitset.bool_product_words` replaces that with an
-OR-AND reduction over packed heard-of rows; these tests pin exact
-agreement with :func:`repro.core.matrix.bool_product` on 100+ randomized
-0/1 matrices up to n = 256, the chunking boundaries, validation
-behaviour, and the E6 nonsplit integration under ``REPRO_BACKEND=bitset``.
+Every backend composes with a general round graph through one shared
+implementation, :meth:`repro.core.backend.MatrixBackend.compose_with_graph`
+(a float32 matmul, exact because every count is <= n < 2^24).  These
+tests pin exact agreement with the int32
+:func:`repro.core.matrix.bool_product` reference on both backends across
+word boundaries and graph shapes, on 100+ randomized 0/1 matrices up to
+n = 256 for the packed layout, plus padding bits, validation behaviour,
+and the E6 nonsplit integration under ``REPRO_BACKEND=bitset``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adversaries.nonsplit import cyclic_nonsplit_graph
 from repro.core import matrix as M
 from repro.core.backend import get_backend, use_backend
-from repro.core.bitset import BitsetBackend, bool_product_words
 from repro.errors import DimensionMismatchError, InvalidGraphError
 
 BITSET = get_backend("bitset")
@@ -84,19 +85,28 @@ class TestRandomizedEquivalence:
         _assert_products_agree(a, g)
 
 
-class TestChunking:
-    def test_chunked_paths_agree(self):
-        """Large n forces multiple OR-reduce chunks; result is unchanged."""
-        rng = np.random.default_rng(3)
-        n = 1100  # chunk = (1 << 22) // (n * words) < n => several chunks
-        a = _random_reflexive(n, 0.02, rng)
-        g = _random_reflexive(n, 0.02, rng)
-        packed = BITSET.from_dense(a)
-        got = BITSET.to_dense(bool_product_words(packed, g))
+def _round_graph(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "cyclic-nonsplit":
+        return cyclic_nonsplit_graph(n)
+    if kind == "random":
+        return _random_reflexive(n, 0.3, rng)
+    return np.eye(n, dtype=np.bool_)
+
+
+class TestComposeWithGraph:
+    @pytest.mark.parametrize("backend", ["dense", "bitset"])
+    @pytest.mark.parametrize("kind", ["cyclic-nonsplit", "random", "identity"])
+    @pytest.mark.parametrize("n", [1, 17, 33, 63, 64, 65, 67, 96, 128, 129])
+    def test_matches_bool_product(self, backend, kind, n):
+        rng = np.random.default_rng(7000 + n)
+        a = _random_reflexive(n, 0.4, rng)
+        g = _round_graph(kind, n, rng)
+        bk = get_backend(backend)
+        got = bk.to_dense(bk.compose_with_graph(bk.from_dense(a), g))
         np.testing.assert_array_equal(got, M.bool_product(a, g))
 
     def test_padding_bits_stay_zero(self):
-        """Kernels must never set bits beyond n in the packed words."""
+        """Composes must never set bits beyond n in the packed words."""
         rng = np.random.default_rng(4)
         n = 67  # 2 words, 61 padding bits
         out = BITSET.compose_with_graph(
@@ -118,14 +128,9 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             BITSET.compose_with_graph(a, np.eye(5, dtype=np.bool_))
 
-    def test_no_dense_fallback(self):
-        """The override exists (not inherited from MatrixBackend)."""
-        assert "compose_with_graph" in BitsetBackend.__dict__
-
 
 class TestNonsplitIntegration:
     def test_apply_graph_cross_backend(self):
-        from repro.adversaries.nonsplit import cyclic_nonsplit_graph
         from repro.core.state import BroadcastState
 
         for n in (5, 33, 64, 90):
@@ -137,7 +142,7 @@ class TestNonsplitIntegration:
             )
 
     def test_e6_experiment_under_bitset(self):
-        """The whole nonsplit experiment passes on the packed kernel."""
+        """The whole nonsplit experiment passes on the packed backend."""
         from repro.experiments import get_experiment
 
         with use_backend("bitset"):

@@ -11,8 +11,7 @@ adversarial inputs across BOTH matrix backends:
   with ``1 <= t* <= ⌈(1+√2)n − 1⌉ <= n²`` (n >= 2);
 * composition associativity -- ``(A ∘ B) ∘ C = A ∘ (B ∘ C)`` both for the
   dense reference product and through each backend's
-  ``compose_with_graph`` kernel (which exercises the word-parallel bitset
-  ``bool_product``);
+  ``compose_with_graph``;
 * per-round gains accounting -- ``gains_under`` predicts exactly the
   reach-size delta of playing the tree;
 * cross-backend equality -- dense and bitset agree on ``t*``, the final
@@ -29,7 +28,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
 from repro.core import matrix as M
 from repro.core.backend import get_backend, use_backend
 from repro.core.bounds import trivial_upper_bound, upper_bound
@@ -241,23 +239,15 @@ def test_backends_agree_on_tstar(seq):
     )
 
 
-KERNEL_PAIRS = [
-    (backend, kernel)
-    for backend in BACKENDS
-    for kernel in kernels.available_kernels(backend)
-]
-
-
-@pytest.mark.parametrize("backend,kernel", KERNEL_PAIRS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @FUZZ
 @given(reflexive_matrices(), st.integers(0, 2**31 - 1))
-def test_forced_kernel_compose_matches_reference(backend, kernel, a, seed):
-    """Every registered kernel computes exactly ``bool_product``."""
+def test_graph_compose_matches_reference(backend, a, seed):
+    """``compose_with_graph`` computes exactly ``bool_product``."""
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     g = rng.random((n, n)) < 0.3
     np.fill_diagonal(g, True)
     bk = get_backend(backend)
-    with kernels.use_kernel(kernel):
-        got = bk.to_dense(bk.compose_with_graph(bk.from_dense(a), g))
+    got = bk.to_dense(bk.compose_with_graph(bk.from_dense(a), g))
     assert (got == M.bool_product(a, g)).all()

@@ -334,6 +334,21 @@ def test_sync_observer_installs_and_removes_hook():
     assert core_kernels._compose_observer is None
 
 
+@pytest.mark.parametrize("backend", ["dense", "bitset"])
+def test_profiled_apply_graph_records_graph_compose_row(backend):
+    from repro.adversaries.nonsplit import cyclic_nonsplit_graph
+    from repro.core.state import BroadcastState
+
+    n = 12
+    state = BroadcastState.initial(n, backend=backend)
+    obs_profile.enable()
+    state.apply_graph(cyclic_nonsplit_graph(n)).apply_graph(cyclic_nonsplit_graph(n))
+    obs_profile.disable()
+    row = obs_profile.kernel_profile()[f"{backend}/graph-compose/n<=16"]
+    assert row["calls"] == 2
+    assert row["seconds"] >= 0.0
+
+
 def test_profiling_captures_real_engine_run():
     from repro.adversaries import CyclicFamilyAdversary
     from repro.engine.executor import SequentialExecutor
