@@ -40,9 +40,10 @@ RESULTS_PATH = Path(__file__).with_name("BENCH_fleet.json")
 MIN_SPEEDUP = 1.8
 
 #: Cyclic chain-fan cells: the most CPU-expensive registered family, so
-#: worker parallelism (not HTTP) dominates the wall time.
-FULL_NS = (28, 32, 36, 40, 44, 48)
-QUICK_NS = (24, 26, 28, 30, 32, 34)
+#: worker parallelism (not HTTP) dominates the wall time.  Sized for
+#: ~7 s (full) / ~3 s (quick) of serial work under the arc scorer.
+FULL_NS = (104, 112, 120, 128, 136, 144)
+QUICK_NS = (64, 72, 80, 88, 96, 104)
 
 
 def _worker_env() -> Dict[str, str]:

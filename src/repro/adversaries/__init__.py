@@ -11,6 +11,8 @@ the broadcast time ``t*``.  This package implements the full spectrum:
   two-phase flip families;
 * :mod:`~repro.adversaries.zeiner` -- explicit lower-bound constructions in
   the spirit of Zeiner-Schwarz-Schmid [14];
+* :mod:`~repro.adversaries.arc_scorer` -- scores the cyclic chain-fan pool
+  from reach-set arc endpoints, ``O(n²)`` per round;
 * :mod:`~repro.adversaries.pool` -- candidate-tree pool builders for search;
 * :mod:`~repro.adversaries.greedy` -- one-step greedy minimax over a pool;
 * :mod:`~repro.adversaries.beam` -- multi-step beam search;

@@ -9,14 +9,16 @@ that *witness* the bound:
 * :class:`CyclicFamilyAdversary` -- the reproduction's main result on the
   lower-bound side.  Playing greedily (quadratic-potential score) over the
   family of *rotated cyclic paths* and *cyclic chain-fan trees*, it keeps
-  every reach set a cyclic interval and achieves **exactly**
-  ``⌈(3n−1)/2⌉ − 2`` for every ``n`` we test (4 .. 32+), matching both the
-  known lower-bound formula and the exact game values computed by
-  :mod:`repro.adversaries.exact` for ``n <= 5`` (where ``t*(T_n)`` equals
-  the formula).  How it was found: we solved the game exactly for small
+  every reach set a cyclic interval and, with the full family
+  (``m_stride=1``), achieves **exactly** ``⌈(3n−1)/2⌉ − 2`` for every
+  ``n`` we test, matching both the known lower-bound formula and the
+  exact game values computed by :mod:`repro.adversaries.exact` for
+  ``n <= 5`` (where ``t*(T_n)`` equals the formula).  How it was found: we solved the game exactly for small
   ``n``, observed that optimal play keeps reach sets as cyclic intervals
   and plays chains-with-fans, and closed the family under rotation and
-  direction.
+  direction.  The default ``m_stride`` subsamples chain lengths from
+  ``n = 64`` on, a weaker adversary (``t* = 93`` instead of 94 at
+  ``n = 64``).
 
 * :class:`ZeinerStyleAdversary`, :class:`RunnerAdversary` -- simpler
   two-phase/path heuristics kept as baselines (they only reach ``n - 1``;
@@ -33,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.adversaries.arc_scorer import ChainFanPool, row_arcs, select
 from repro.adversaries.base import Adversary
 from repro.adversaries.paths import (
     AlternatingPathAdversary,
@@ -84,14 +87,17 @@ class CyclicFamilyAdversary(Adversary):
     equals the Theorem 3.1 lower-bound formula on every size we have
     checked (see EXPERIMENTS.md, E2/E3).
 
-    The whole ``O(n²/m_stride)``-candidate pool is scored per round in
-    blocked batched compositions
-    (:func:`repro.engine.batch.score_parents_quadratic`), the same kernel
-    path greedy/beam use -- decision-equal to the historical per-candidate
-    dense loop (ties break to the earliest candidate in pool order), but
-    one vectorized backend call per block instead of one composition per
-    candidate.  ``m_stride`` defaults to 1 below 33 nodes and scales up
-    beyond to keep rounds affordable.
+    The whole ``O(n²/m_stride)``-candidate pool is scored per round from
+    the rows' arc endpoints (:mod:`repro.adversaries.arc_scorer`) in
+    ``O(n²)`` -- no composition per candidate -- and the parent array is
+    built for the chosen candidate only.  A state whose rows are not all
+    cyclic intervals falls back to blocked batched compositions
+    (:func:`repro.engine.batch.score_parents_quadratic`).  Both paths are
+    decision-equal to the historical per-candidate dense loop (ties break
+    to the earliest candidate in pool order); ``arc_rounds`` and
+    ``fallback_rounds`` count which one decided each round.
+    ``m_stride`` defaults to ``max(1, n // 32)``: 1 up to 63 nodes,
+    scaling up beyond.
     """
 
     def __init__(self, n: int, m_stride: Optional[int] = None) -> None:
@@ -103,46 +109,23 @@ class CyclicFamilyAdversary(Adversary):
         if m_stride < 1:
             raise AdversaryError(f"m_stride must be >= 1, got {m_stride}")
         self._m_stride = m_stride
+        #: The candidate family as metadata (parent arrays on demand).
+        self.pool = ChainFanPool.build(n, m_stride)
         self._cands: Optional[np.ndarray] = None
+        #: Rounds decided by the arc scorer / by the matrix fallback
+        #: since construction.
+        self.arc_rounds = 0
+        self.fallback_rounds = 0
         self.name = f"CyclicFamily[stride={m_stride}]"
         super().__init__()
 
     def _candidate_parent_matrix(self) -> np.ndarray:
         """All candidate moves as one stacked ``(C, n)`` parent matrix.
 
-        Deduplicated in generation order and cached: the family is
-        state-independent, so it is built once per instance.
+        In pool order and cached; only the matrix fallback needs it.
         """
-        if self._cands is not None:
-            return self._cands
-        n = self._n
-        seen = set()
-        out: List[List[int]] = []
-
-        def add(parents: List[int]) -> None:
-            key = tuple(parents)
-            if key not in seen:
-                seen.add(key)
-                out.append(list(parents))
-
-        for s in range(n):
-            for backward in (False, True):
-                step = -1 if backward else 1
-                order = [(s + step * i) % n for i in range(n)]
-                parents = [0] * n
-                parents[order[0]] = order[0]
-                for a, b in zip(order, order[1:]):
-                    parents[b] = a
-                add(parents)
-                for m in range(1, n - 1, self._m_stride):
-                    chain = order[: m + 1]
-                    for anchor in (s, chain[-1]):
-                        parents = [anchor] * n
-                        parents[s] = s
-                        for a, b in zip(chain, chain[1:]):
-                            parents[b] = a
-                        add(parents)
-        self._cands = np.asarray(out, dtype=np.int64)
+        if self._cands is None:
+            self._cands = self.pool.parent_matrix()
         return self._cands
 
     def next_tree(self, state: BroadcastState, round_index: int) -> RootedTree:
@@ -152,12 +135,18 @@ class CyclicFamilyAdversary(Adversary):
             raise AdversaryError(
                 f"adversary built for n={self._n}, driven with n={state.n}"
             )
-        candidates = self._candidate_parent_matrix()
-        scores = score_parents_quadratic(state, candidates)
-        # min() keeps the first of tied minima, matching the historical
-        # per-candidate loop's strict-improvement tie-breaking.
-        best_i = min(range(len(scores)), key=scores.__getitem__)
-        return RootedTree([int(p) for p in candidates[best_i]])
+        arcs = row_arcs(state.reach_matrix_view())
+        if arcs is not None:
+            self.arc_rounds += 1
+            parents = self.pool.parents(select(self.pool, *arcs))
+        else:
+            self.fallback_rounds += 1
+            candidates = self._candidate_parent_matrix()
+            scores = score_parents_quadratic(state, candidates)
+            # min() keeps the first of tied minima, matching the historical
+            # per-candidate loop's strict-improvement tie-breaking.
+            parents = candidates[min(range(len(scores)), key=scores.__getitem__)]
+        return RootedTree([int(p) for p in parents])
 
 
 class ZeinerStyleAdversary(Adversary):

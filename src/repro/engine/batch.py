@@ -297,9 +297,11 @@ def score_parents_quadratic(
     produce -- ``(broadcasters after, sum of squared reach sizes, max
     reach)`` -- but composes whole blocks of candidates against the state
     in one batched kernel instead of one dense pass per candidate.
-    Blocks are sized so a block's successor stack stays around 32 MiB of
+    Blocks are sized so a block's successor stack stays around 4 MiB of
     dense-equivalent storage (the cyclic family at n = 256 has ~33k
-    candidates; materializing all of them at once would not fit).
+    candidates; materializing all of them at once would not fit).  The
+    cyclic adversary only lands here when some reach set is not a cyclic
+    interval; otherwise :mod:`repro.adversaries.arc_scorer` scores it.
     """
     parents = np.asarray(parents, dtype=np.int64)
     if parents.size == 0:

@@ -9,11 +9,14 @@ reproduce every recorded value bit-for-bit; any drift is a correctness
 regression, not noise.
 
 The n = 20 and n = 24 entries were recorded with the historical
-per-candidate cyclic scorer and are now reproduced by the batched pool
-scorer (:func:`repro.engine.batch.score_parents_quadratic`);
+per-candidate cyclic scorer and are now reproduced by the arc-endpoint
+scorer (:mod:`repro.adversaries.arc_scorer`), with the batched pool
+scorer (:func:`repro.engine.batch.score_parents_quadratic`) as its
+fallback on non-interval states;
 :class:`TestBatchedCyclicScorerDecisions` additionally pins *decision*
 equality -- same chosen tree each round, not just the same t* -- against
-a per-candidate reference loop.
+a per-candidate reference loop, on random (fallback) states and on full
+runs (arc path).
 """
 
 from __future__ import annotations
