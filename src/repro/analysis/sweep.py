@@ -186,7 +186,6 @@ def sweep_adversaries(
     max_rounds: Optional[int] = None,
     workers: Optional[int] = None,
     executor: Union[str, "Executor", None] = None,
-    cache: Optional[object] = None,
 ) -> SweepResult:
     """Measure ``t*`` for every (factory, n) pair, ``n``-major.
 
@@ -202,18 +201,18 @@ def sweep_adversaries(
       be picklable;
     * neither -- the sequential executor.
 
-    ``cache`` (opt-in) is a cell-cache adapter, typically
-    :class:`repro.service.cache.SweepCellCache` over declarative
-    :class:`~repro.service.specs.SpecHandle` factories: already-measured
-    grid cells become O(1) lookups and only new cells compute, with the
-    merged result bit-identical to a cold sweep.
+    Nothing is cached here.  A sweep of declarative specs whose cells
+    should be cached runs as a task graph
+    (:func:`repro.service.tasks.sweep_graph` through
+    :class:`~repro.service.tasks.TaskGraphRunner`), where every cell is a
+    ``run`` task sharing its cache entry with ``/v1/runs``.
     """
     from repro.engine.executor import get_executor
 
     if executor is None:
         executor = "sharded" if workers is not None and workers != 1 else "sequential"
     return get_executor(executor, workers=workers).sweep(
-        adversary_factories, ns, max_rounds=max_rounds, cache=cache
+        adversary_factories, ns, max_rounds=max_rounds
     )
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 
-def _stringify(cell: Any) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.3f}"
-    return str(cell)
+def _stringify(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
 
 
 def format_table(

@@ -179,25 +179,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Portfolio sweep over a range of ``n`` (any engine, optionally sharded)."""
+    """Portfolio sweep over a range of ``n`` (any engine, optionally sharded).
+
+    The grid runs as a task graph (one ``run`` task per cell, in
+    portfolio order); ``--cache`` only supplies the result cache, so
+    cells are shared with ``experiment``, ``serve`` and ``/v1/runs``.
+    """
     from repro.analysis.tables import format_table
     from repro.engine.executor import get_executor
-    from repro.engine.shard import default_sweep_factories
+    from repro.service.cache import ResultCache
+    from repro.service.specs import portfolio_handles
+    from repro.service.tasks import TaskGraphRunner, sweep_graph
 
-    cache = None
-    if args.cache:
-        # Declarative handles mirror default_sweep_factories one-for-one;
-        # they are what makes each grid cell content-addressable.
-        from repro.service.cache import ResultCache, SweepCellCache
-        from repro.service.specs import portfolio_handles
-
-        factories = portfolio_handles(include_search=not args.fast)
-        cache = SweepCellCache(ResultCache(path=args.cache))
-    else:
-        factories = default_sweep_factories(include_search=not args.fast)
+    handles = portfolio_handles(include_search=not args.fast)
+    graph, output = sweep_graph(
+        {
+            "adversaries": [
+                {"label": label, "adversary": h.adversary, "params": h.params}
+                for label, h in handles.items()
+            ],
+            "ns": args.ns,
+        }
+    )
     _warn_ignored_workers(args)
     executor = get_executor(args.engine, workers=args.workers)
-    result = executor.sweep(factories, args.ns, cache=cache)
+    cache = ResultCache(path=args.cache) if args.cache else None
+    run = TaskGraphRunner(executor=executor, cache=cache).run(graph)
+    result = run.decoded(graph, output)
     best = result.best_per_n()
     rows = []
     for n in args.ns:
@@ -206,9 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         # Re-instantiate the winner so the table shows its self-reported
         # name (e.g. "CyclicFamily[stride=2]"), not just the factory key.
-        display = getattr(
-            factories[point.adversary](n), "name", point.adversary
-        )
+        display = getattr(handles[point.adversary](n), "name", point.adversary)
         rows.append(
             (
                 n,
@@ -229,12 +235,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         result.save(args.out)
         print(f"sweep results written to {args.out}")
-    if cache is not None:
-        stats = cache.cache.stats()
-        print(
-            f"cell cache {args.cache}: {stats['hits']} hits, "
-            f"{stats['misses']} misses, {stats['entries']} entries"
-        )
+    s = run.stats
+    print(
+        f"task graph: {s['tasks']} tasks, {s['cached']} cached, "
+        f"{s['computed']} computed, runs computed: {s['runs_computed']}",
+        file=sys.stderr,
+    )
     if args.engine == "sharded" and args.workers != 1:
         print(f"(sweep sharded over {executor.workers} worker processes)")
     return 0
@@ -891,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "opt-in content-addressed cell cache (JSONL): rerunning an "
+            "opt-in content-addressed result cache (JSONL): rerunning an "
             "enlarged grid only computes the new cells, bit-identical "
             "to a cold sweep"
         ),

@@ -12,7 +12,9 @@ layer:
   instrumentation level;
 * :class:`Executor` -- the protocol: ``run(spec)``, ``run_many(specs)``,
   and ``sweep(factories, ns)``, all returning :class:`RunReport` /
-  :class:`~repro.analysis.sweep.SweepResult`;
+  :class:`~repro.analysis.sweep.SweepResult`.  ``sweep`` never caches: a
+  cached sweep is a task graph (:func:`repro.service.tasks.sweep_graph`)
+  whose run cells reach the executor through ``run_many_settled``;
 * :class:`SequentialExecutor` -- one run at a time, supports every
   instrumentation level (history snapshots, replayable traces + metrics);
 * :class:`BatchExecutor` -- groups compatible specs and advances them in
@@ -416,22 +418,13 @@ class Executor:
         ns: Sequence[int],
         max_rounds: Optional[int] = None,
         backend: BackendLike = None,
-        cache: Optional[object] = None,
     ) -> "SweepResult":
         """Measure ``t*`` for every (factory, n) grid point, ``n``-major.
 
         Points truncated by an explicit ``max_rounds`` are dropped, same
-        as :func:`repro.analysis.sweep.sweep_adversaries`.
-
-        ``cache`` (opt-in) is a cell-cache adapter -- typically
-        :class:`repro.service.cache.SweepCellCache` -- with three duck
-        hooks: ``key_for(run_spec)`` (``None`` = cell not addressable),
-        ``lookup(key) -> (hit, t_star)``, and ``store(key, t_star)``.
-        Cached cells skip execution entirely; only the missing cells run,
-        and the merged result is bit-identical to a cold sweep (the
-        cached value *is* the cold value, and point order is grid order
-        either way).  Cells whose factories carry no declarative spec
-        (plain callables) bypass the cache and always compute.
+        as :func:`repro.analysis.sweep.sweep_adversaries`.  Uncached,
+        for arbitrary factories; see the module docstring for cached
+        sweeps.
         """
         from repro.analysis.sweep import SweepResult, make_sweep_point
 
@@ -446,28 +439,9 @@ class Executor:
             for n in ns
             for name, factory in adversary_factories.items()
         ]
-        t_stars: List[Optional[int]] = [None] * len(specs)
-        if cache is None:
-            missing = list(range(len(specs)))
-            keys: List[Optional[str]] = [None] * len(specs)
-        else:
-            missing = []
-            keys = [cache.key_for(spec) for spec in specs]
-            for i, key in enumerate(keys):
-                hit, value = cache.lookup(key) if key is not None else (False, None)
-                if hit:
-                    t_stars[i] = value
-                else:
-                    missing.append(i)
-        if missing:
-            reports = self.run_many([specs[i] for i in missing])
-            for i, report in zip(missing, reports):
-                t_stars[i] = report.t_star
-                if cache is not None and keys[i] is not None:
-                    cache.store(keys[i], report.t_star)
         points = [
-            make_sweep_point(spec.name, spec.n, t_star)
-            for spec, t_star in zip(specs, t_stars)
+            make_sweep_point(spec.name, spec.n, report.t_star)
+            for spec, report in zip(specs, self.run_many(specs))
         ]
         return SweepResult(points=[p for p in points if p is not None])
 
@@ -876,27 +850,13 @@ class ShardedExecutor(Executor):
         ns: Sequence[int],
         max_rounds: Optional[int] = None,
         backend: BackendLike = None,
-        cache: Optional[object] = None,
     ) -> "SweepResult":
         """Sharded sweep via :class:`~repro.engine.shard.ShardedSweepRunner`.
 
         Delegates to the proven bit-identical merge path (the runner's
         workers drive :class:`BatchExecutor` through
-        :func:`repro.engine.runner.run_adversaries_batch`).  With a
-        ``cache``, the generic cache-aware grid path runs instead (cells
-        still execute through this executor's sharded ``run_many``, so
-        the result stays bit-identical for any worker count) -- cache
-        lookups and stores must happen in the parent process.
+        :func:`repro.engine.runner.run_adversaries_batch`).
         """
-        if cache is not None:
-            return Executor.sweep(
-                self,
-                adversary_factories,
-                ns,
-                max_rounds=max_rounds,
-                backend=backend,
-                cache=cache,
-            )
         from repro.engine.shard import ShardedSweepRunner
 
         runner = ShardedSweepRunner(

@@ -9,9 +9,10 @@ front-end that actually *serves* users instead of scripts:
   specs with a registry over the adversary portfolio and a canonical
   content-addressed digest per spec;
 * :mod:`~repro.service.cache` -- a versioned result store keyed by spec
-  digest (in-memory LRU + optional append-only JSONL persistence), with a
-  :class:`~repro.service.cache.SweepCellCache` adapter that plugs into
-  ``Executor.sweep`` so enlarged grids only compute new cells;
+  digest (in-memory LRU + optional append-only JSONL persistence): one
+  namespace for runs, sweeps and task-graph nodes, so a sweep cell is the
+  same ``run`` entry a ``/v1/runs`` submission hits and an enlarged grid
+  only computes its new cells;
 * :mod:`~repro.service.scheduler` -- a thread-based job queue with
   queued/running/done/failed states, in-flight dedup of identical digests,
   and batching of compatible queued specs into single executor dispatches;
@@ -19,6 +20,7 @@ front-end that actually *serves* users instead of scripts:
   content-addressed task graphs (run cells, sweep aggregations, E1..E8
   experiments) with a task-kind registry, a result-codec registry, and a
   topological runner that batches run tasks through the executors;
+  every sweep (scheduler job or ``repro-broadcast sweep``) runs as one;
 * :mod:`~repro.service.server` -- a stdlib ``ThreadingHTTPServer`` JSON API
   (``POST /v1/runs``, ``POST /v1/runs:batch``, ``GET /v1/runs/<id>``,
   ``POST /v1/sweeps``, ``POST /v1/tasks``, ``GET /v1/tasks/<id>``,
@@ -30,7 +32,6 @@ front-end that actually *serves* users instead of scripts:
 from repro.service.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
-    SweepCellCache,
     report_from_doc,
     report_to_doc,
 )
@@ -77,7 +78,6 @@ __all__ = [
     "ServiceClient",
     "ServiceServer",
     "SpecHandle",
-    "SweepCellCache",
     "TaskGraph",
     "TaskGraphRunner",
     "TaskSpec",

@@ -1,15 +1,18 @@
 """Content-addressed result cache: LRU memory tier + JSONL persistence.
 
 :class:`ResultCache` maps spec digests (:func:`repro.service.specs.spec_digest`)
-to result documents.  Three result kinds share one store:
+to result documents.  Four result kinds share one store:
 
 * ``"run"`` -- a full :class:`~repro.engine.executor.RunReport`, serialized
   by :func:`report_to_doc` (the final product-graph matrix is bit-packed,
   so the round trip is exact: a cache hit deserializes to a report
-  byte-identical to a fresh recomputation);
-* ``"cell"`` -- one sweep grid cell's ``t*`` (tiny; what makes rerunning
-  an enlarged sweep grid O(1) per already-measured cell);
-* ``"sweep"`` -- a whole serialized :class:`~repro.analysis.sweep.SweepResult`.
+  byte-identical to a fresh recomputation).  Sweep grid cells are run
+  tasks, so a cell measured by a sweep, a ``/v1/runs`` submission and a
+  task graph all share this one entry;
+* ``"sweep"`` -- a sweep job's serialized
+  :class:`~repro.analysis.sweep.SweepResult`;
+* ``"task"`` / ``"graph"`` -- one task-graph node's result and a whole
+  graph job's outcome (:mod:`repro.service.tasks`).
 
 Layers
 ------
@@ -50,19 +53,19 @@ import numpy as np
 
 from repro.core.state import BroadcastState
 from repro.errors import CacheError
-from repro.service.specs import spec_digest
 
 if TYPE_CHECKING:  # runtime imports stay lazy (executor imports are cyclic)
-    from repro.analysis.sweep import SweepResult
-    from repro.engine.executor import RunReport, RunSpec
+    from repro.engine.executor import RunReport
 
-#: Bump when the entry layout (or any payload encoding) changes.
-CACHE_FORMAT_VERSION = 1
+#: Bump when the entry layout (or any payload encoding) changes.  Version
+#: 2 dropped the t*-only sweep-cell kind (sweep cells are ``"run"``
+#: entries now), so a version-1 file loads as stale and recomputes.
+CACHE_FORMAT_VERSION = 2
 
 #: Result kinds a cache entry may carry.  ``"task"`` holds one task-graph
 #: node's encoded result (namespaced by its task kind inside the payload);
 #: ``"graph"`` a whole graph job's outcome document.
-ENTRY_KINDS = ("run", "cell", "sweep", "task", "graph")
+ENTRY_KINDS = ("run", "sweep", "task", "graph")
 
 
 def report_to_doc(report: "RunReport") -> Dict[str, Any]:
@@ -342,9 +345,7 @@ class ResultCache:
         """The stored payload for ``digest``, or ``None`` (counted) on miss.
 
         ``kind`` (when given) must match the stored entry's kind; a
-        mismatch is a miss, not an error.  Callers that derive different
-        result kinds from the same spec must namespace their keys (see
-        :class:`SweepCellCache`) -- one digest holds one entry.
+        mismatch is a miss, not an error.  One digest holds one entry.
         """
         with self._lock:
             entry = self._entries.get(digest)
@@ -421,72 +422,15 @@ class ResultCache:
             return None
         return report_from_doc(doc, backend=backend)
 
-    def store_sweep(self, digest: str, result: "SweepResult") -> None:
-        """Cache a whole sweep result under its sweep-spec digest."""
-        self.store(digest, "sweep", json.loads(result.to_json()))
-
-    def lookup_sweep(self, digest: str) -> Optional["SweepResult"]:
-        """The cached :class:`SweepResult` for a digest, or ``None``."""
-        from repro.analysis.sweep import SweepResult
-
-        doc = self.lookup(digest, kind="sweep")
-        if doc is None:
-            return None
-        return SweepResult.from_json(json.dumps(doc))
-
     def __repr__(self) -> str:
         where = "memory" if self._path is None else str(self._path)
         return f"ResultCache({where}, entries={len(self)})"
-
-
-class SweepCellCache:
-    """The duck-typed adapter ``Executor.sweep(..., cache=...)`` accepts.
-
-    The executor layer stays ignorant of digests: it only asks
-    ``key_for(run_spec)`` (``None`` = this cell is not addressable, compute
-    it), ``lookup(key)`` (``(hit, t_star)``), and ``store(key, t_star)``.
-    Cells are addressable when the spec's adversary factory is a
-    :class:`~repro.service.specs.SpecHandle` -- i.e. it carries the
-    declarative spec its digest is computed from.  Plain factories
-    (lambdas, classes) simply bypass the cache.
-
-    Cell keys are namespaced (``cell:<digest>``): a cell spec *is* a
-    canonical run spec, so an unqualified key would collide with the
-    full-report entry the scheduler stores for the same digest and the
-    two kinds would evict each other.
-    """
-
-    def __init__(self, cache: ResultCache) -> None:
-        self.cache = cache
-
-    def key_for(self, spec: "RunSpec") -> Optional[str]:
-        """The namespaced cell key for a run spec, or ``None``."""
-        cell_spec = getattr(spec.adversary, "cell_spec", None)
-        if cell_spec is None:
-            return None
-        return "cell:" + spec_digest(cell_spec(spec.n, spec.max_rounds, spec.backend))
-
-    def lookup(self, key: str) -> Tuple[bool, Optional[int]]:
-        """``(hit, t_star)`` -- ``t_star`` may legitimately be ``None``."""
-        doc = self.cache.lookup(key, kind="cell")
-        if doc is None:
-            return False, None
-        try:
-            t_star = doc["t_star"]
-        except (TypeError, KeyError) as exc:
-            raise CacheError(f"malformed sweep-cell document: {doc!r}") from exc
-        return True, (None if t_star is None else int(t_star))
-
-    def store(self, key: str, t_star: Optional[int]) -> None:
-        """Record one computed cell (``None`` = truncated by an explicit cap)."""
-        self.cache.store(key, "cell", {"t_star": None if t_star is None else int(t_star)})
 
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "ENTRY_KINDS",
     "ResultCache",
-    "SweepCellCache",
     "report_from_doc",
     "report_to_doc",
 ]

@@ -568,8 +568,8 @@ class FleetExecutor(Executor):
             self.fallback.name, self.fallback.name
         )
 
-    # The Executor protocol (``run`` and ``sweep`` are inherited, so
-    # sweep cells distribute across the fleet too) ----------------------
+    # The Executor protocol (``run`` and ``sweep`` are inherited; sweep
+    # jobs reach the fleet as task-graph run cells) ---------------------
 
     def run_many(self, specs: Sequence[Any]) -> List[Any]:
         settled = self.run_many_settled(specs)

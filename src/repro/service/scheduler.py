@@ -11,7 +11,10 @@ Task-graph jobs (``kind="graph"``) are scheduled topologically: ready
 dependency order, per-node statuses are mirrored live onto the job
 (``GET /v1/tasks/<id>``), a failing task poisons only its downstream
 tasks, and a shared :class:`~repro.service.tasks.TaskInflight` registry
-dedups each task digest across concurrently-running graphs.
+dedups each task digest across concurrently-running graphs.  Sweep jobs
+(``kind="sweep"``) run the same way, as the graph
+:func:`~repro.service.tasks.sweep_graph` builds: one ``run`` task per
+grid cell, so every cell shares its cache entry with ``/v1/runs``.
 
 Three properties make it a *service* rather than a loop:
 
@@ -49,7 +52,6 @@ graphs with zero recomputation of cached work.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import secrets
 import threading
@@ -63,13 +65,12 @@ from repro.engine.executor import Executor, get_executor
 from repro.errors import ServiceError
 from repro.obs import trace as _trace
 from repro.obs.metrics import CounterMap, Registry
-from repro.service.cache import ResultCache, SweepCellCache, report_to_doc
+from repro.service.cache import ResultCache, report_to_doc
 from repro.service.journal import JobJournal, JournalEntry
 from repro.service.specs import (
     canonical_run_spec,
     canonical_sweep_spec,
     spec_digest,
-    sweep_handles,
     to_run_spec,
 )
 from repro.service.tasks import (
@@ -78,6 +79,7 @@ from repro.service.tasks import (
     TaskInflight,
     graph_digest,
     initial_statuses,
+    sweep_graph,
 )
 from repro.service.tenancy import DEFAULT_TENANT, TenantRegistry
 
@@ -219,7 +221,6 @@ class JobScheduler:
             )
         self._executor: Executor = get_executor(executor)
         self.cache = cache if cache is not None else ResultCache()
-        self._cell_cache = SweepCellCache(self.cache)
         self._task_inflight = TaskInflight()
         self._max_batch = max_batch
         self._workers = workers
@@ -447,7 +448,7 @@ class JobScheduler:
     def submit_sweep(
         self, raw_spec: Dict[str, Any], tenant: str = DEFAULT_TENANT
     ) -> Job:
-        """Submit one sweep spec; grid cells warm the shared cell cache."""
+        """Submit one sweep spec; it runs as a task graph of run cells."""
         spec = canonical_sweep_spec(raw_spec)
         return self._submit("sweep", spec, spec_digest(spec), tenant=tenant)
 
@@ -871,21 +872,21 @@ class JobScheduler:
     def _dispatch_sweep(self, job: Job) -> None:
         with self._cv:
             self._counters.inc("dispatches")
-        try:
-            handles = sweep_handles(job.spec)
-            result = self._executor.sweep(
-                handles,
-                job.spec["ns"],
-                max_rounds=job.spec["max_rounds"],
-                backend=job.spec["backend"],
-                cache=self._cell_cache,
+        graph, output = sweep_graph(job.spec)
+        run = TaskGraphRunner(
+            executor=self._executor, cache=self.cache, inflight=self._task_inflight
+        ).run(graph, [output])
+        if output not in run.results:
+            # Healthy cells are cached already; the job reports the first
+            # failed cell's error.
+            error = next(
+                node["error"] for node in run.statuses.values() if node["status"] == "failed"
             )
-        except Exception as exc:
-            self._finish(job, None, f"{type(exc).__name__}: {exc}")
+            self._finish(job, None, error)
             return
         with self._cv:
             self._counters.inc("computations")
-        self._finish(job, json.loads(result.to_json()), None)
+        self._finish(job, run.results[output], None)
 
 
 __all__ = ["JOB_STATES", "Job", "JobScheduler"]

@@ -34,9 +34,10 @@ Canonicalization rules (what "same run" means):
 :class:`SpecHandle` bridges specs to the executor layer: it is a
 picklable ``n -> adversary`` factory (usable anywhere
 ``default_sweep_factories`` entries are, including across ``spawn``
-boundaries) that *carries its declarative spec*, which is what lets
-``Executor.sweep`` content-address individual grid cells (see
-:class:`repro.service.cache.SweepCellCache`).
+boundaries) that *carries its declarative spec*.  Sweeps do not key a
+cache of their own: :func:`repro.service.tasks.sweep_graph` turns every
+grid cell into a ``run`` task whose digest is the cell's run-spec digest,
+so sweeps, ``/v1/runs`` and task graphs share one set of cache entries.
 """
 
 from __future__ import annotations
@@ -300,33 +301,8 @@ _SWEEP_KEYS = frozenset(
 )
 
 
-def canonical_sweep_spec(raw: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate a raw sweep spec and return its canonical document.
-
-    A sweep spec names a set of adversary families and a list of node
-    counts::
-
-        {"adversaries": ["static-path", {"adversary": "rotating-path",
-                                         "params": {"shift": 2}}],
-         "ns": [16, 32], "backend": "bitset"}
-
-    Canonical ``ns`` are sorted and deduplicated; canonical adversaries
-    are sorted by label (default label = the adversary name), so
-    logically-equal sweeps share a digest *and* enumerate their grids in
-    one deterministic order.
-    """
-    if not isinstance(raw, Mapping):
-        raise SpecError(f"sweep spec must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - _SWEEP_KEYS
-    if unknown:
-        raise SpecError(
-            f"unknown sweep keys {sorted(unknown)}; accepted: {sorted(_SWEEP_KEYS)}"
-        )
-    _check_version(raw)
-    kind = raw.get("kind", "sweep")
-    if kind != "sweep":
-        raise SpecError(f"sweep spec 'kind' must be 'sweep', got {kind!r}")
-    rows = raw.get("adversaries")
+def _canonical_rows(rows: Any) -> List[Dict[str, Any]]:
+    """Validated ``{label, adversary, params}`` rows, in the given order."""
     if not isinstance(rows, (list, tuple)) or not rows:
         raise SpecError("'adversaries' must be a non-empty list")
     canon_rows: List[Dict[str, Any]] = []
@@ -349,7 +325,36 @@ def canonical_sweep_spec(raw: Mapping[str, Any]) -> Dict[str, Any]:
                 "params": _canonical_params(entry, row.get("params")),
             }
         )
-    canon_rows.sort(key=lambda r: r["label"])
+    return canon_rows
+
+
+def canonical_sweep_spec(raw: Mapping[str, Any]) -> Dict[str, Any]:
+    """Validate a raw sweep spec and return its canonical document.
+
+    A sweep spec names a set of adversary families and a list of node
+    counts::
+
+        {"adversaries": ["static-path", {"adversary": "rotating-path",
+                                         "params": {"shift": 2}}],
+         "ns": [16, 32], "backend": "bitset"}
+
+    Canonical ``ns`` are sorted and deduplicated; canonical adversaries
+    are sorted by label (default label = the adversary name), so
+    logically-equal sweeps share a digest.  A sweep job runs its
+    canonical spec, so equal jobs also share one grid order.
+    """
+    if not isinstance(raw, Mapping):
+        raise SpecError(f"sweep spec must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - _SWEEP_KEYS
+    if unknown:
+        raise SpecError(
+            f"unknown sweep keys {sorted(unknown)}; accepted: {sorted(_SWEEP_KEYS)}"
+        )
+    _check_version(raw)
+    kind = raw.get("kind", "sweep")
+    if kind != "sweep":
+        raise SpecError(f"sweep spec 'kind' must be 'sweep', got {kind!r}")
+    canon_rows = sorted(_canonical_rows(raw.get("adversaries")), key=lambda r: r["label"])
     labels = [r["label"] for r in canon_rows]
     if len(set(labels)) != len(labels):
         raise SpecError(f"duplicate adversary labels in sweep spec: {labels}")
@@ -404,9 +409,9 @@ class SpecHandle:
 
     Usable anywhere the executor stack accepts a factory (including
     across ``spawn`` process boundaries); additionally exposes
-    :meth:`cell_spec` so cache layers can content-address each (n,
-    max_rounds, backend) grid cell this family produces -- that hook is
-    what ``Executor.sweep(..., cache=...)`` keys on.
+    :meth:`cell_spec`, the canonical run spec of one (n, max_rounds,
+    backend) cell of this family -- what the fleet executor offers
+    remote workers under its ``spec_digest``.
     """
 
     def __init__(
@@ -468,13 +473,17 @@ def to_run_spec(raw: Mapping[str, Any]) -> "RunSpec":
 
 
 def sweep_handles(spec: Mapping[str, Any]) -> Dict[str, SpecHandle]:
-    """Label -> :class:`SpecHandle` map for a canonical sweep spec."""
-    spec = canonical_sweep_spec(spec)
+    """Label -> :class:`SpecHandle` map, in the sweep spec's row order.
+
+    The canonical spec sorts rows by label; a canonical spec therefore
+    yields canonical order, a raw one the caller's.
+    """
+    seed = canonical_sweep_spec(spec)["seed"]
     return {
         row["label"]: SpecHandle(
-            row["adversary"], row["params"], seed=spec["seed"], label=row["label"]
+            row["adversary"], row["params"], seed=seed, label=row["label"]
         )
-        for row in spec["adversaries"]
+        for row in _canonical_rows(spec["adversaries"])
     }
 
 
@@ -486,7 +495,8 @@ def portfolio_handles(
     Mirrors :func:`repro.engine.shard.default_sweep_factories` -- same
     display labels, same adversaries with the same constructor arguments,
     in the same order -- but every factory is a :class:`SpecHandle`, so
-    ``Executor.sweep`` can content-address each cell.
+    ``repro-broadcast sweep`` can run the grid as a task graph whose
+    cells are content-addressed run tasks.
     """
     handles = {
         "StaticPath": SpecHandle("static-path", label="StaticPath"),

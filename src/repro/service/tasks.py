@@ -58,6 +58,7 @@ from repro.service.specs import (
     canonical_run_spec,
     canonical_sweep_spec,
     spec_digest,
+    sweep_handles,
     to_run_spec,
 )
 
@@ -818,27 +819,32 @@ def sweep_graph(raw_sweep_spec: Mapping[str, Any]) -> Tuple[TaskGraph, str]:
 
     Returns ``(graph, output_digest)`` where the output is a
     ``sweep-agg`` task producing the serialized
-    :class:`~repro.analysis.sweep.SweepResult` -- bit-identical to
-    ``Executor.sweep`` over the same canonical spec (same n-major grid
-    order, same truncated-cell dropping).
+    :class:`~repro.analysis.sweep.SweepResult`, cells truncated by
+    ``max_rounds`` dropped.  Points are n-major in the caller's row and
+    ``ns`` order, not the canonical spec's sorted order:
+    ``SweepResult.best_per_n`` keeps the first maximum, so row order
+    decides ties.  Every cell is a no-input ``run`` task, so it shares
+    its cache entry with ``/v1/runs`` and with every other graph or
+    sweep that measures the same cell.
     """
     spec = canonical_sweep_spec(raw_sweep_spec)
+    handles = sweep_handles(raw_sweep_spec)
     graph = TaskGraph()
     cells: List[Dict[str, Any]] = []
     inputs: List[str] = []
-    for n in spec["ns"]:
-        for row in spec["adversaries"]:
+    for n in raw_sweep_spec["ns"]:
+        for label, handle in handles.items():
             digest = graph.add_run(
                 {
-                    "adversary": row["adversary"],
-                    "params": row["params"],
+                    "adversary": handle.adversary,
+                    "params": handle.params,
                     "n": n,
-                    "seed": spec["seed"],
+                    "seed": handle.seed,
                     "max_rounds": spec["max_rounds"],
                     "backend": spec["backend"],
                 }
             )
-            cells.append({"label": row["label"], "n": n})
+            cells.append({"label": label, "n": n})
             inputs.append(digest)
     output = graph.add(
         {

@@ -112,7 +112,7 @@ class TestCacheCommands:
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(path=path)
         for i in range(4):
-            cache.store("same", "cell", {"t_star": i})  # 3 dead lines
+            cache.store("same", "task", {"t_star": i})  # 3 dead lines
         assert main(["cache", "compact", "--path", str(path)]) == 0
         out = capsys.readouterr().out
         assert "compacted" in out and "1 live entries" in out
@@ -122,7 +122,7 @@ class TestCacheCommands:
         from repro.service.cache import ResultCache
 
         path = tmp_path / "cache.jsonl"
-        ResultCache(path=path).store("a", "cell", {"t_star": 1})
+        ResultCache(path=path).store("a", "task", {"t_star": 1})
         assert main(["cache", "stats", "--path", str(path)]) == 0
         out = capsys.readouterr().out
         assert "compactions" in out and "file_bytes" in out

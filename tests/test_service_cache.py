@@ -13,18 +13,18 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import sweep_adversaries
 from repro.core.backend import use_backend
 from repro.engine.executor import BatchExecutor, SequentialExecutor, ShardedExecutor
 from repro.errors import CacheError
 from repro.service.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
-    SweepCellCache,
     report_from_doc,
     report_to_doc,
 )
+from repro.service.scheduler import JobScheduler
 from repro.service.specs import portfolio_handles, spec_digest, to_run_spec
+from repro.service.tasks import TaskGraphRunner, sweep_graph
 
 #: Every portfolio family, with small-n-safe params.
 PORTFOLIO = [
@@ -100,19 +100,19 @@ class TestCacheMechanics:
     def test_lru_eviction_and_counters(self):
         cache = ResultCache(capacity=3)
         for i in range(4):
-            cache.store(f"d{i}", "cell", {"t_star": i})
+            cache.store(f"d{i}", "task", {"t_star": i})
         assert len(cache) == 3
         assert "d0" not in cache  # least recently used fell out
         stats = cache.stats()
         assert stats["evictions"] == 1 and stats["stores"] == 4
         # a hit refreshes recency: d1 survives the next eviction
         assert cache.lookup("d1") == {"t_star": 1}
-        cache.store("d4", "cell", {"t_star": 4})
+        cache.store("d4", "task", {"t_star": 4})
         assert "d1" in cache and "d2" not in cache
 
     def test_kind_mismatch_is_a_miss(self):
         cache = ResultCache()
-        cache.store("d", "cell", {"t_star": 1})
+        cache.store("d", "task", {"t_star": 1})
         assert cache.lookup("d", kind="run") is None
         assert cache.stats()["misses"] == 1
 
@@ -121,7 +121,7 @@ class TestCacheMechanics:
         cache = ResultCache(max_bytes=200)
         payload = {"blob": "x" * 50}  # ~60 accounted bytes + digest
         for i in range(4):
-            cache.store(f"byte{i}", "cell", dict(payload))
+            cache.store(f"byte{i}", "task", dict(payload))
         stats = cache.stats()
         assert stats["max_bytes"] == 200
         assert 0 < stats["bytes"] <= 200
@@ -132,14 +132,14 @@ class TestCacheMechanics:
     def test_byte_accounting_tracks_inserts_and_evictions(self):
         cache = ResultCache()
         assert cache.stats()["bytes"] == 0
-        cache.store("a", "cell", {"t_star": 1})
+        cache.store("a", "task", {"t_star": 1})
         one = cache.stats()["bytes"]
         assert one > 0
-        cache.store("b", "cell", {"t_star": 2})
+        cache.store("b", "task", {"t_star": 2})
         assert cache.stats()["bytes"] > one
         # Overwriting re-accounts instead of double-counting.
-        cache.store("a", "cell", {"t_star": 1})
-        cache.store("a", "cell", {"t_star": 1})
+        cache.store("a", "task", {"t_star": 1})
+        cache.store("a", "task", {"t_star": 1})
         two = cache.stats()["bytes"]
         cache.clear()
         assert cache.stats()["bytes"] == 0 and two > 0
@@ -147,11 +147,11 @@ class TestCacheMechanics:
     def test_oversized_entry_still_lands(self):
         """An entry bigger than the whole budget must not silently vanish."""
         cache = ResultCache(max_bytes=16)
-        cache.store("huge", "cell", {"blob": "y" * 500})
+        cache.store("huge", "task", {"blob": "y" * 500})
         assert "huge" in cache
         assert cache.lookup("huge") == {"blob": "y" * 500}
         # The next store evicts the oversized one, not itself.
-        cache.store("tiny", "cell", {"t_star": 1})
+        cache.store("tiny", "task", {"t_star": 1})
         assert "tiny" in cache and "huge" not in cache
 
     def test_byte_budget_validation(self):
@@ -162,7 +162,7 @@ class TestCacheMechanics:
         path = tmp_path / "budget.jsonl"
         cache = ResultCache(path=path, max_bytes=150)
         for i in range(3):
-            cache.store(f"k{i}", "cell", {"blob": "z" * 40})
+            cache.store(f"k{i}", "task", {"blob": "z" * 40})
         assert len(cache) < 3  # memory tier trimmed
         assert cache.stats()["compactions"] == 0
         reopened = ResultCache(path=path)
@@ -173,7 +173,7 @@ class TestCacheMechanics:
         path = tmp_path / "budget.jsonl"
         cache = ResultCache(path=path, max_bytes=150)
         for i in range(12):
-            cache.store(f"k{i}", "cell", {"blob": "z" * 40})
+            cache.store(f"k{i}", "task", {"blob": "z" * 40})
         assert cache.stats()["compactions"] >= 1
         reopened = ResultCache(path=path)
         # The rewritten file holds exactly the live set at compaction
@@ -187,9 +187,9 @@ class TestCacheMechanics:
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(path=path)
         for i in range(6):
-            cache.store(f"k{i}", "cell", {"t_star": i})
+            cache.store(f"k{i}", "task", {"t_star": i})
         for i in range(6):  # overwrites: 6 dead lines in the file
-            cache.store(f"k{i}", "cell", {"t_star": i * 10})
+            cache.store(f"k{i}", "task", {"t_star": i * 10})
         report = cache.compact()
         assert report["after_bytes"] < report["before_bytes"]
         assert report["entries"] == 6
@@ -209,22 +209,22 @@ class TestCacheMechanics:
     def test_torn_final_line_repaired_on_open(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(path=path)
-        cache.store("a", "cell", {"t_star": 1})
+        cache.store("a", "task", {"t_star": 1})
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"digest": "b", "form')  # SIGKILL mid-append
         reopened = ResultCache(path=path)
         assert reopened.lookup("a") == {"t_star": 1}
         assert "b" not in reopened
         # The repair truncated the fragment, so new appends replay clean.
-        reopened.store("c", "cell", {"t_star": 3})
+        reopened.store("c", "task", {"t_star": 3})
         assert ResultCache(path=path).lookup("c") == {"t_star": 3}
 
     def test_persistence_round_trip_later_lines_win(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         first = ResultCache(path=path)
-        first.store("a", "cell", {"t_star": 1})
-        first.store("b", "cell", {"t_star": 2})
-        first.store("a", "cell", {"t_star": 3})  # overwrite appends
+        first.store("a", "task", {"t_star": 1})
+        first.store("b", "task", {"t_star": 2})
+        first.store("a", "task", {"t_star": 3})  # overwrite appends
         reopened = ResultCache(path=path)
         assert reopened.lookup("a") == {"t_star": 3}
         assert reopened.lookup("b") == {"t_star": 2}
@@ -236,13 +236,13 @@ class TestCacheMechanics:
         stale = {
             "format_version": CACHE_FORMAT_VERSION + 1,
             "digest": "d-stale",
-            "kind": "cell",
+            "kind": "task",
             "payload": {"t_star": 99},
         }
         good = {
             "format_version": CACHE_FORMAT_VERSION,
             "digest": "d-good",
-            "kind": "cell",
+            "kind": "task",
             "payload": {"t_star": 5},
         }
         path.write_text(json.dumps(stale) + "\n" + json.dumps(good) + "\n")
@@ -250,6 +250,22 @@ class TestCacheMechanics:
         assert cache.lookup("d-stale") is None  # rejected, not served
         assert cache.lookup("d-good") == {"t_star": 5}
         assert cache.stats()["stale_rejected"] == 1
+
+    def test_pre_v2_sweep_cell_file_loads_as_stale(self, tmp_path):
+        """A version-1 file (with the retired t*-only sweep-cell kind) must
+        open without error and serve neither of its lines."""
+        path = tmp_path / "cache.jsonl"
+        lines = [
+            {"digest": "d-cell", "format_version": 1, "kind": "cell",
+             "payload": {"t_star": 7}},
+            {"digest": "d-run", "format_version": 1, "kind": "run",
+             "payload": {"t_star": 7}},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        cache = ResultCache(path=path)
+        assert cache.stats()["stale_rejected"] == 2
+        assert cache.lookup("d-cell") is None and cache.lookup("d-run") is None
+        assert len(cache) == 0
 
     def test_corrupt_line_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -260,91 +276,81 @@ class TestCacheMechanics:
     def test_clear_truncates_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(path=path)
-        cache.store("a", "cell", {"t_star": 1})
+        cache.store("a", "task", {"t_star": 1})
         cache.clear()
         assert len(cache) == 0
         assert path.read_text() == ""
         assert len(ResultCache(path=path)) == 0
 
 
+def _portfolio_graph(handles, ns):
+    """The task graph ``repro-broadcast sweep`` runs for these handles."""
+    return sweep_graph(
+        {
+            "adversaries": [
+                {"label": label, "adversary": h.adversary, "params": h.params}
+                for label, h in handles.items()
+            ],
+            "ns": ns,
+        }
+    )
+
+
 class TestCachedSweeps:
-    """The satellite: ``Executor.sweep(..., cache=...)`` computes only new
-    cells and stays bit-identical to a cold sweep."""
+    """Sweeps run as task graphs: every grid cell is a ``run`` task, so an
+    enlarged grid computes only its new cells and stays bit-identical to
+    a cold ``Executor.sweep``."""
 
     @pytest.mark.parametrize("executor_cls", [SequentialExecutor, BatchExecutor])
     def test_warm_sweep_bit_identical_and_incremental(self, executor_cls):
         executor = executor_cls()
         handles = portfolio_handles(include_search=False)
-        cache = SweepCellCache(ResultCache())
-        cold_small = executor.sweep(handles, [6, 8])
-        warm_small = executor.sweep(handles, [6, 8], cache=cache)
-        assert warm_small.to_json() == cold_small.to_json()
-        filled = cache.cache.stats()
-        assert filled["entries"] == 2 * len(handles)
-        # enlarging the grid recomputes only the new n=10 column
-        cold_big = executor.sweep(handles, [6, 8, 10])
-        warm_big = executor.sweep(handles, [6, 8, 10], cache=cache)
-        assert warm_big.to_json() == cold_big.to_json()
-        stats = cache.cache.stats()
-        assert stats["hits"] - filled["hits"] == 2 * len(handles)
-        assert stats["entries"] == 3 * len(handles)
-        # a fully-warm rerun computes nothing new
-        before = cache.cache.stats()["stores"]
-        assert executor.sweep(handles, [6, 8, 10], cache=cache).to_json() == cold_big.to_json()
-        assert cache.cache.stats()["stores"] == before
+        runner = TaskGraphRunner(executor=executor, cache=ResultCache())
+        graph, out = _portfolio_graph(handles, [6, 8])
+        small = runner.run(graph)
+        assert json.dumps(small.result(out)) == executor.sweep(handles, [6, 8]).to_json()
+        assert small.stats["runs_computed"] == 2 * len(handles)
+        # enlarging the grid computes only the new n=10 column
+        cold_big = executor.sweep(handles, [6, 8, 10]).to_json()
+        graph, out = _portfolio_graph(handles, [6, 8, 10])
+        big = runner.run(graph)
+        assert json.dumps(big.result(out)) == cold_big
+        assert big.stats["runs_computed"] == len(handles)
+        # a fully-warm rerun computes nothing
+        rerun = runner.run(graph)
+        assert rerun.stats["computed"] == 0
+        assert json.dumps(rerun.result(out)) == cold_big
 
     def test_sharded_executor_uses_the_cache_in_the_parent(self):
         handles = portfolio_handles(include_search=False)
-        cache = SweepCellCache(ResultCache())
         sharded = ShardedExecutor(workers=2)
-        cold = sharded.sweep(handles, [6, 8])
-        warm = sharded.sweep(handles, [6, 8], cache=cache)
-        assert warm.to_json() == cold.to_json()
-        rerun = sharded.sweep(handles, [6, 8], cache=cache)
-        assert rerun.to_json() == cold.to_json()
-        stats = cache.cache.stats()
-        assert stats["hits"] >= 2 * len(handles)
-
-    def test_sweep_adversaries_cache_passthrough(self):
-        handles = portfolio_handles(include_search=False)
-        cache = SweepCellCache(ResultCache())
-        first = sweep_adversaries(handles, [6], cache=cache)
-        second = sweep_adversaries(handles, [6], cache=cache)
-        assert second.to_json() == first.to_json()
-        assert cache.cache.stats()["hits"] == len(handles)
-
-    def test_plain_factories_bypass_the_cache(self):
-        from repro.adversaries.paths import StaticPathAdversary
-
-        cache = SweepCellCache(ResultCache())
-        result = SequentialExecutor().sweep(
-            {"plain": StaticPathAdversary}, [6, 8], cache=cache
-        )
-        assert [p.t_star for p in result.points] == [5, 7]
-        assert cache.cache.stats()["entries"] == 0
-
-    def test_cell_entries_do_not_collide_with_run_entries(self):
-        """A cell spec *is* a run spec: the two kinds must coexist under
-        one store (cell keys are namespaced), never evict each other."""
-        executor = SequentialExecutor()
-        store = ResultCache()
-        cells = SweepCellCache(store)
-        handles = {"StaticPath": portfolio_handles()["StaticPath"]}
-        raw = {"adversary": "static-path", "n": 8}
-        run_digest = spec_digest(raw)
-        store.store_report(run_digest, executor.run(to_run_spec(raw)))
-        executor.sweep(handles, [8], cache=cells)  # same underlying spec
-        assert store.lookup_report(run_digest) is not None  # run survived
-        key = cells.key_for(to_run_spec(raw))
-        assert key != run_digest and cells.lookup(key) == (True, 7)
+        cold = sharded.sweep(handles, [6, 8]).to_json()
+        runner = TaskGraphRunner(executor=sharded, cache=ResultCache())
+        graph, out = _portfolio_graph(handles, [6, 8])
+        warm = runner.run(graph)
+        assert json.dumps(warm.result(out)) == cold
+        rerun = runner.run(graph)
+        assert rerun.stats["runs_computed"] == 0
+        assert json.dumps(rerun.result(out)) == cold
 
     def test_cache_respects_backend_in_the_cell_address(self):
         """Cells are addressed per backend name: no cross-backend serving."""
         handles = {"Rot": portfolio_handles()["RotatingPath"]}
-        cache = SweepCellCache(ResultCache())
-        executor = SequentialExecutor()
-        with use_backend("dense"):
-            executor.sweep(handles, [8], cache=cache)
-        with use_backend("bitset"):
-            executor.sweep(handles, [8], cache=cache)
-        assert cache.cache.stats()["entries"] == 2
+        runner = TaskGraphRunner(cache=ResultCache())
+        for backend in ("dense", "bitset"):
+            with use_backend(backend):
+                graph, _ = _portfolio_graph(handles, [8])
+                assert runner.run(graph).stats["runs_computed"] == 1
+
+    def test_cli_sweep_warms_service_runs(self, tmp_path, capsys):
+        """Across surfaces: a CLI ``sweep --cache`` cell is a cached run."""
+        from repro.cli import main
+
+        path = tmp_path / "cache.jsonl"
+        assert main(["sweep", "--ns", "6", "--fast", "--cache", str(path)]) == 0
+        with JobScheduler(cache=ResultCache(path=path)) as scheduler:
+            job = scheduler.submit_run(
+                {"adversary": "rotating-path", "params": {"shift": 1}, "n": 6}
+            )
+            assert job.status == "done" and job.cached is True
+        assert "runs computed: 10" in capsys.readouterr().err

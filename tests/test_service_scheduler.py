@@ -13,11 +13,13 @@ import time
 import pytest
 
 from repro.adversaries.base import Adversary
+from repro.engine.executor import BatchExecutor
 from repro.errors import ServiceError, SpecError
 from repro.service.cache import ResultCache
 from repro.service.scheduler import JobScheduler
 from repro.service.specs import (
     ParamSpec,
+    canonical_sweep_spec,
     register_adversary,
     spec_digest,
     unregister_adversary,
@@ -159,15 +161,91 @@ def test_sweep_job_and_cell_cache_warmup():
         job = scheduler.wait(scheduler.submit_sweep(sweep).job_id, timeout=30)
         assert job.status == "done"
         assert len(job.result["points"]) == 4
-        # the sweep warmed per-cell entries plus its own aggregate entry
-        assert cache.stats()["entries"] == 5
-        # run submits matching a warmed cell still compute (different kind,
-        # full report vs t*-only cell) -- but an identical sweep is O(1)
+        # 4 run cells, the sweep-agg task and the job's own sweep entry
+        assert cache.stats()["entries"] == 6
+        assert cache.lookup(job.digest, kind="sweep") == job.result
+        # a run submit matching a warmed cell is a cache hit, and an
+        # identical sweep is O(1)
+        run = scheduler.submit_run({"adversary": "rotating-path", "n": 8})
+        assert run.status == "done" and run.cached is True
         again = scheduler.submit_sweep(
             {"ns": [8, 6], "adversaries": ["rotating-path", "static-path"]}
         )
         assert again.status == "done" and again.cached is True
         assert again.result == job.result
+
+
+#: A small grid with a non-default param and an explicit backend.
+WARM_SWEEP = {
+    "adversaries": ["static-path", {"adversary": "rotating-path", "params": {"shift": 2}}],
+    "ns": [6, 9],
+    "backend": "bitset",
+}
+
+
+def _grid_runs(sweep):
+    return [
+        {"adversary": row["adversary"], "params": row["params"], "n": n, "backend": "bitset"}
+        for n in sweep["ns"]
+        for row in canonical_sweep_spec(sweep)["adversaries"]
+    ]
+
+
+class CountingExecutor(BatchExecutor):
+    """Counts the run specs that reach the executor."""
+
+    def __init__(self):
+        super().__init__()
+        self.specs_run = 0
+
+    def run_many(self, specs):
+        self.specs_run += len(specs)
+        return super().run_many(specs)
+
+
+def test_sweep_cells_are_warm_run_submissions():
+    """Sweep first: every cell is then a cached ``/v1/runs`` answer."""
+    with JobScheduler(cache=ResultCache()) as scheduler:
+        job = scheduler.wait(scheduler.submit_sweep(WARM_SWEEP).job_id, timeout=30)
+        assert job.status == "done"
+        t_stars = [p["t_star"] for p in job.result["points"]]
+        runs = [scheduler.submit_run(spec) for spec in _grid_runs(WARM_SWEEP)]
+        assert all(run.status == "done" and run.cached for run in runs)
+        assert [run.result["t_star"] for run in runs] == t_stars
+
+
+def test_runs_first_sweep_computes_no_runs():
+    """Runs first: the matching sweep is served from the run entries."""
+    executor = CountingExecutor()
+    with JobScheduler(executor=executor, cache=ResultCache()) as scheduler:
+        for spec in _grid_runs(WARM_SWEEP):
+            assert scheduler.wait(scheduler.submit_run(spec).job_id).status == "done"
+        computed = executor.specs_run
+        assert computed == 4
+        job = scheduler.wait(scheduler.submit_sweep(WARM_SWEEP).job_id, timeout=30)
+        assert job.status == "done" and len(job.result["points"]) == 4
+        assert executor.specs_run == computed
+
+
+def test_failing_sweep_cell_fails_the_job_and_caches_healthy_cells(test_adversaries):
+    with JobScheduler(cache=ResultCache()) as scheduler:
+        sweep = {
+            "adversaries": [
+                "static-path",
+                {"adversary": "failing-test", "params": {"fail_at": 3}},
+            ],
+            "ns": [6, 8],
+            "backend": "bitset",
+        }
+        job = scheduler.wait(scheduler.submit_sweep(sweep).job_id, timeout=30)
+        assert job.status == "failed"
+        assert job.error == "RuntimeError: synthetic failure at round 3"
+        for n in (6, 8):
+            run = scheduler.submit_run(
+                {"adversary": "static-path", "n": n, "backend": "bitset"}
+            )
+            assert run.status == "done" and run.cached is True
+            assert run.result["t_star"] == n - 1
 
 
 def test_overlapping_sweep_only_computes_new_cells():
