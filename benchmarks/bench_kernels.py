@@ -8,6 +8,13 @@ convention as ``BENCH_load.json``, plus a ``machine`` block from
   repeated-squaring fast path vs the compiled round-by-round loop
   (``use_squaring=False``).  The acceptance number: >= 10x at n >= 1024
   (t* = 1023 >= 512), with identical t*.
+* ``batch_compose_*`` -- microseconds per
+  :meth:`~repro.core.backend.MatrixBackend.batch_compose_inplace` call on
+  both backends at ``(B, n)`` = (7, 256) and (7, 512), the lockstep
+  kernel of :class:`~repro.engine.executor.BatchExecutor` at the
+  ``sweep`` workload's sizes (n = 64 is the smoke cell).  Each cell first
+  checks the batch kernel against ``B`` single-run
+  ``compose_with_tree_inplace`` calls.
 
 The n = 4096 cell is additionally gated behind ``REPRO_BENCH_FULL=1``
 so the default tier-1 run stays fast; CI's bench-smoke deselects every
@@ -29,15 +36,23 @@ from typing import Callable
 
 import pytest
 
+import numpy as np
+
 from repro.adversaries.paths import StaticPathAdversary
 from repro.core import kernels as K
+from repro.core.backend import get_backend
 from repro.engine.executor import RunSpec, SequentialExecutor
+from repro.trees.generators import random_tree
 
 RESULTS_PATH = Path(__file__).with_name("BENCH_kernels.json")
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
 TSTAR_NS = [64, 1024, 4096]
+
+#: ``(B, n)`` of the batch-compose cells; B = 7 is the size of one
+#: ``sweep`` lockstep group (its seven non-static families).
+BATCH_CELLS = [(7, 64), (7, 256), (7, 512)]
 
 
 def _require(n: int) -> None:
@@ -103,6 +118,37 @@ def test_tstar_squaring_search(n, report_sink):
     _persist(f"tstar_n{n}", doc)
 
 
+@pytest.mark.table
+@pytest.mark.parametrize("backend_name", ["dense", "bitset"])
+@pytest.mark.parametrize("batch,n", BATCH_CELLS)
+def test_batch_compose(backend_name, batch, n, report_sink):
+    """One lockstep batch compose, checked against per-run composes; persist."""
+    backend = get_backend(backend_name)
+    rng = np.random.default_rng(n)
+    parents = np.stack(
+        [random_tree(n, rng).parent_array_numpy() for _ in range(batch)]
+    )
+    # A mid-run state (one random round), so no row is trivially full.
+    bmat = backend.identity_batch(batch, n)
+    backend.batch_compose_inplace(bmat, parents[::-1])
+    want = [backend.copy(backend.slice_run(bmat, b)) for b in range(batch)]
+    backend.batch_compose_inplace(bmat, parents)
+    for b in range(batch):
+        backend.compose_with_tree_inplace(want[b], parents[b])
+        assert backend.equal(backend.slice_run(bmat, b), want[b]), b
+
+    repeats = 200 if n <= 256 else 100
+    seconds = _best_of(lambda: backend.batch_compose_inplace(bmat, parents), repeats)
+    us = round(seconds * 1e6, 2)
+    report_sink.append(
+        f"[kernels] batch_compose {backend_name} B={batch} n={n}: {us:.1f} us"
+    )
+    _persist(
+        f"batch_compose_{backend_name}_B{batch}_n{n}",
+        {"backend": backend_name, "B": batch, "n": n, "us_per_compose": us},
+    )
+
+
 def test_results_file_is_well_formed():
     """Whatever cells exist on disk must parse and carry the schema."""
     if not RESULTS_PATH.exists():
@@ -114,3 +160,5 @@ def test_results_file_is_well_formed():
     for key, cell in doc.items():
         if key.startswith("tstar_"):
             assert cell["seconds"]["squaring"] > 0, key
+        if key.startswith("batch_compose_"):
+            assert cell["us_per_compose"] > 0, key

@@ -156,8 +156,13 @@ class BitsetBackend(MatrixBackend):
     # -- batched kernels ----------------------------------------------
 
     def batch_compose_inplace(self, bmat: np.ndarray, parents: np.ndarray) -> np.ndarray:
-        gathered = np.take_along_axis(bmat, parents[:, :, None], axis=1)
-        np.bitwise_or(bmat, gathered, out=bmat)
+        # One row gather over the flattened (B*n, words) view: run b's
+        # parent rows sit at offset b*n.  The reshape is only read (it
+        # copies when bmat is not contiguous); the OR writes into bmat.
+        batch, n, words = bmat.shape
+        flat = (parents + (np.arange(batch, dtype=np.int64) * n)[:, None]).ravel()
+        gathered = np.take(bmat.reshape(batch * n, words), flat, axis=0)
+        np.bitwise_or(bmat, gathered.reshape(bmat.shape), out=bmat)
         return bmat
 
     def batch_compose_from(self, mat: np.ndarray, parents: np.ndarray) -> np.ndarray:

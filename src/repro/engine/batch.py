@@ -7,7 +7,10 @@ batchable:
   ``n`` (benchmarks, falsification sweeps).  :class:`BatchRunner` stacks
   the runs' matrices along a leading axis (``(B, n, n)`` dense,
   ``(B, n, words)`` bitset) and performs one vectorized
-  compose + completion check per round for all runs at once.
+  compose + completion check per round for the runs still in flight.  A
+  run that completes is moved out of the stack (its ``t*`` matrix is
+  kept), so a fast run does not cost compose work while the slowest run
+  of the batch finishes.
 * **candidate scoring** -- greedy/beam adversaries evaluate every tree in
   a pool against the *same* state each round.  :func:`score_candidates`
   composes all ``C`` candidates in a single batched kernel and returns
@@ -21,7 +24,7 @@ friends), so they speed up further under ``REPRO_BACKEND=bitset``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +53,10 @@ class BatchRunner:
     which the run has a broadcaster, 0 if ``n == 1`` and the run is
     complete before any round).
 
-    Runs that are already complete may keep receiving trees (composition
-    is monotone, the recorded ``t*`` never changes) or be padded with
-    ``None`` -- a self-loops-only no-op round.
+    A run leaves the stacked tensor in the round it completes: the runner
+    keeps a copy of its matrix at ``t*`` and re-stacks the live runs, so
+    later rounds compose only those.  Trees handed to a finished run are
+    ignored.  Every accessor still takes the original run index.
     """
 
     def __init__(self, n: int, batch_size: int, backend: BackendLike = None) -> None:
@@ -62,11 +66,16 @@ class BatchRunner:
         self._n = n
         self._batch = batch_size
         self._backend = get_backend(backend)
+        # _bmat stacks the live runs only; _live[i] is the run index of
+        # its row i, and _slot[b] the row of run b (-1 once finished).
         self._bmat = self._backend.identity_batch(batch_size, n)
+        self._live = np.arange(batch_size, dtype=np.int64)
+        self._slot = np.arange(batch_size, dtype=np.int64)
+        self._finished: Dict[int, np.ndarray] = {}
         self._round = 0
         self._completed_at = np.full(batch_size, -1, dtype=np.int64)
         self._noop = np.arange(n, dtype=np.int64)
-        self._mark_completions()
+        self._retire_completed()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -79,12 +88,12 @@ class BatchRunner:
 
     @property
     def batch_size(self) -> int:
-        """Number of stacked runs."""
+        """Number of runs (finished or not)."""
         return self._batch
 
     @property
     def round_index(self) -> int:
-        """Rounds applied so far (every run advances in lockstep)."""
+        """Rounds applied so far (every live run advances in lockstep)."""
         return self._round
 
     @property
@@ -96,10 +105,14 @@ class BatchRunner:
         """Boolean ``(B,)`` mask of runs that have a broadcaster."""
         return self._completed_at >= 0
 
+    def live_runs(self) -> List[int]:
+        """Indices of the runs without a broadcaster yet, ascending."""
+        return self._live.tolist()
+
     @property
     def all_complete(self) -> bool:
         """True iff every run has completed broadcast."""
-        return bool((self._completed_at >= 0).all())
+        return self._live.size == 0
 
     def t_star(self, b: int) -> Optional[int]:
         """Broadcast time of run ``b`` (``None`` if not complete yet)."""
@@ -110,47 +123,72 @@ class BatchRunner:
         """Broadcast time of every run, in run order."""
         return [self.t_star(b) for b in range(self._batch)]
 
+    def _handle(self, b: int) -> np.ndarray:
+        """Run ``b``'s matrix: a row of the live tensor or its ``t*`` copy."""
+        slot = int(self._slot[b])
+        if slot < 0:
+            return self._finished[b]
+        return self._backend.slice_run(self._bmat, slot)
+
+    def _rounds(self, b: int) -> int:
+        """Round index of run ``b``'s matrix: its ``t*`` once finished."""
+        t = int(self._completed_at[b])
+        return t if t >= 0 else self._round
+
     def reach_sizes(self) -> np.ndarray:
         """``(B, n)`` reach-set sizes for every run."""
-        return self._backend.batch_reach_sizes(self._bmat)
+        out = np.empty((self._batch, self._n), dtype=np.int64)
+        if self._live.size:
+            out[self._live] = self._backend.batch_reach_sizes(self._bmat)
+        for b, mat in self._finished.items():
+            out[b] = self._backend.reach_sizes(mat)
+        return out
 
     def broadcasters(self, b: int) -> Tuple[int, ...]:
         """Full-row nodes of run ``b``."""
-        return self._backend.broadcasters(self._backend.slice_run(self._bmat, b))
+        return self._backend.broadcasters(self._handle(b))
 
     def state(self, b: int, round_index: Optional[int] = None) -> BroadcastState:
         """Independent :class:`BroadcastState` copy of run ``b``.
 
-        ``round_index`` overrides the recorded round counter -- used when a
-        run finished earlier than the batch (its matrix is frozen by no-op
-        padding, but the lockstep counter kept advancing).
+        A finished run's state is its matrix at ``t*`` with round index
+        ``t*``; a live run's is its current matrix at :attr:`round_index`.
+        ``round_index`` overrides the recorded round.
         """
-        mat = self._backend.copy(self._backend.slice_run(self._bmat, b))
-        rounds = self._round if round_index is None else round_index
+        mat = self._backend.copy(self._handle(b))
+        rounds = self._rounds(b) if round_index is None else round_index
         return BroadcastState._wrap(mat, self._n, rounds, self._backend)
 
     def state_view(self, b: int) -> BroadcastState:
-        """Zero-copy state over run ``b``'s live storage.
+        """Zero-copy state over run ``b``'s storage.
 
         Valid until the next :meth:`step`; adversaries may read it to pick
         their next move but must not hold or mutate it.
         """
         return BroadcastState._wrap(
-            self._backend.slice_run(self._bmat, b),
-            self._n,
-            self._round,
-            self._backend,
+            self._handle(b), self._n, self._rounds(b), self._backend
         )
 
     # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------
 
-    def _mark_completions(self) -> None:
-        newly = (self._completed_at < 0) & self._backend.batch_has_broadcaster(
-            self._bmat
-        )
-        self._completed_at[newly] = self._round
+    def _retire_completed(self) -> None:
+        """Move the runs that now have a broadcaster out of the tensor."""
+        done = self._backend.batch_has_broadcaster(self._bmat)
+        if not done.any():
+            return
+        for i in np.flatnonzero(done).tolist():
+            b = int(self._live[i])
+            self._completed_at[b] = self._round
+            self._finished[b] = self._backend.copy(
+                self._backend.slice_run(self._bmat, i)
+            )
+            self._slot[b] = -1
+        keep = ~done
+        self._bmat = self._bmat[keep]
+        self._live = self._live[keep]
+        self._slot[self._live] = np.arange(self._live.size, dtype=np.int64)
 
     def _parents_matrix(
         self, trees: Sequence[Optional[RootedTree]]
@@ -168,10 +206,11 @@ class BatchRunner:
         return parents
 
     def step(self, trees: Sequence[Optional[RootedTree]]) -> "BatchRunner":
-        """Advance every run by one round in a single vectorized kernel.
+        """Advance every live run by one round in a single vectorized kernel.
 
         ``trees[b]`` is run ``b``'s round graph; ``None`` plays the
-        self-loops-only no-op (used to pad ragged batches).
+        self-loops-only no-op (used to pad ragged batches).  Trees for
+        finished runs are ignored.
         """
         if len(trees) != self._batch:
             raise DimensionMismatchError(
@@ -181,12 +220,20 @@ class BatchRunner:
         return self
 
     def step_parents(self, parents: np.ndarray) -> "BatchRunner":
-        """Advance with a prebuilt ``(B, n)`` int64 parent matrix."""
+        """Advance with a prebuilt ``(B, n)`` int64 parent matrix.
+
+        Only the rows of live runs are read.
+        """
         parents = np.asarray(parents, dtype=np.int64)
         if parents.shape != (self._batch, self._n):
             raise DimensionMismatchError(
                 f"parent matrix must be {(self._batch, self._n)}, got {parents.shape}"
             )
+        if self._live.size == 0:
+            self._round += 1
+            return self
+        if self._live.size < self._batch:
+            parents = parents[self._live]
         # Observability seam: one "batch-compose" row/span covers the
         # whole batch's round (observer is None unless tracing/profiling).
         observer = _kernels._compose_observer
@@ -200,7 +247,7 @@ class BatchRunner:
                 lambda: self._backend.batch_compose_inplace(self._bmat, parents),
             )
         self._round += 1
-        self._mark_completions()
+        self._retire_completed()
         return self
 
 

@@ -19,7 +19,7 @@ layer:
   instrumentation level (history snapshots, replayable traces + metrics);
 * :class:`BatchExecutor` -- groups compatible specs and advances them in
   lockstep through one :class:`~repro.engine.batch.BatchRunner` per group
-  (vectorized compose + completion checks);
+  (vectorized compose + completion checks over the runs not yet complete);
 * :class:`ShardedExecutor` -- partitions the spec list across a
   ``multiprocessing`` pool, each worker running a :class:`BatchExecutor`
   shard; results merge back in spec order.
@@ -605,10 +605,12 @@ class BatchExecutor(Executor):
     Specs are grouped by ``(n, backend, max_rounds)`` (order within the
     result list is preserved regardless); each group becomes one
     :class:`~repro.engine.batch.BatchRunner` whose per-round composition
-    and completion checks run as single vectorized kernels.  Element-wise
-    decision-equivalent to :class:`SequentialExecutor`: every adversary
-    observes a zero-copy view of exactly the state its own moves
-    produced, and is never queried once its run has a broadcaster.
+    and completion checks run as single vectorized kernels.  A run leaves
+    the lockstep loop in the round it completes: the runner drops it from
+    the stacked tensor, and its adversary is never queried again.
+    Element-wise decision-equivalent to :class:`SequentialExecutor`: every
+    adversary observes a zero-copy view of exactly the state its own moves
+    produced.
 
     Specs requesting instrumentation (or ``keep_trees``) fall back to a
     :class:`SequentialExecutor` run -- per-round statistics are inherently
@@ -648,7 +650,7 @@ class BatchExecutor(Executor):
         all_advs = [spec.make_adversary() for spec in group]
         all_names = [spec.display_name(adv) for spec, adv in zip(group, all_advs)]
         results: List[Optional[RunReport]] = [None] * len(group)
-        live: List[int] = []
+        lockstep: List[int] = []
         for idx, adv in enumerate(all_advs):
             row = _static_parent_row(adv, n) if self._use_squaring else None
             if row is not None:
@@ -658,12 +660,12 @@ class BatchExecutor(Executor):
                     group[idx], all_names[idx], row, n, cap, explicit, self.name
                 )
             else:
-                live.append(idx)
-        if not live:
+                lockstep.append(idx)
+        if not lockstep:
             return results
-        group = [group[i] for i in live]
-        advs = [all_advs[i] for i in live]
-        names = [all_names[i] for i in live]
+        group = [group[i] for i in lockstep]
+        advs = [all_advs[i] for i in lockstep]
+        names = [all_names[i] for i in lockstep]
         cursors: List[Optional[_ScheduleCursor]] = [
             _ScheduleCursor.try_compile(adv, n, cap) if self._use_compiled else None
             for adv in advs
@@ -671,7 +673,7 @@ class BatchExecutor(Executor):
         hooks = [_parents_hook(adv) for adv in advs]
         compiled = [cursor is not None for cursor in cursors]
         runner = BatchRunner(n, len(group), backend=backend)
-        noop = np.arange(n, dtype=np.int64)
+        # Only live runs' rows are written; the runner reads no others.
         parents = np.empty((len(group), n), dtype=np.int64)
         # Phase split (profiling only): decision = the per-run adversary
         # loop, kernel = the batched lockstep compose.  The group totals
@@ -688,20 +690,13 @@ class BatchExecutor(Executor):
                 if runner.round_index >= cap:
                     if explicit:
                         break
-                    stuck = [
-                        name
-                        for b, name in enumerate(names)
-                        if runner.t_star(b) is None
-                    ]
+                    stuck = [names[b] for b in runner.live_runs()]
                     raise AdversaryError(
                         f"adversaries {stuck!r} exceeded the trivial n² cap ({cap})"
                     )
                 t = runner.round_index + 1
                 p0 = now() if measure else 0.0
-                for b, adv in enumerate(advs):
-                    if runner.t_star(b) is not None:
-                        parents[b] = noop
-                        continue
+                for b in runner.live_runs():
                     cursor = cursors[b]
                     if cursor is not None:
                         row = cursor.row(t)
@@ -715,7 +710,9 @@ class BatchExecutor(Executor):
                             hooks[b](runner.state_view(b), t), n
                         )
                         continue
-                    tree = _validated_tree(adv.next_tree(runner.state_view(b), t), n)
+                    tree = _validated_tree(
+                        advs[b].next_tree(runner.state_view(b), t), n
+                    )
                     parents[b] = tree.parent_array_numpy()
                 if measure:
                     dec_s += now() - p0
@@ -732,9 +729,9 @@ class BatchExecutor(Executor):
         if measure:
             timings = {"decision_s": dec_s, "kernel_s": ker_s}
             _profile.record_phases(self.name, dec_s, ker_s)
-        for b, (idx, spec) in enumerate(zip(live, group)):
+        for b, (idx, spec) in enumerate(zip(lockstep, group)):
             t_star = runner.t_star(b)
-            final = runner.state(b, round_index=t_star)
+            final = runner.state(b)
             results[idx] = RunReport(
                 t_star=t_star,
                 n=n,

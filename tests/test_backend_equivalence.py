@@ -19,6 +19,7 @@ from repro.adversaries.beam import BeamSearchAdversary
 from repro.adversaries.greedy import GreedyDelayAdversary, score_tree
 from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core.backend import get_backend
+from repro.core.bitset import WORD_BITS
 from repro.core.broadcast import run_adversary, run_sequence
 from repro.core.product import product_of_trees
 from repro.core.state import BroadcastState
@@ -142,6 +143,73 @@ def test_batched_scoring_matches_reference(n):
         assert score_candidates(state, candidates) == [
             score_tree(state, t) for t in candidates
         ]
+
+
+def _padding_is_zero(packed: np.ndarray, n: int) -> bool:
+    """True iff bits ``n .. 64*words-1`` of every packed row are zero."""
+    spare = packed.shape[-1] * WORD_BITS - n
+    if spare == 0:
+        return True
+    used = np.uint64((1 << (WORD_BITS - spare)) - 1)
+    return not (packed[..., -1] & ~used).any()
+
+
+@pytest.mark.parametrize("backend_name", ["dense", "bitset"])
+@pytest.mark.parametrize("batch", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_batch_compose_matches_per_run_compose(backend_name, batch, n):
+    """batch_compose_inplace == compose_with_tree_inplace run by run.
+
+    Three rounds, so later rounds compose into non-identity states; every
+    third (run, round) pair plays the no-op parent row.  The n values
+    straddle the 64-bit word boundaries of the bitset layout.
+    """
+    backend = get_backend(backend_name)
+    rng = np.random.default_rng(1000 * n + batch)
+    noop = np.arange(n, dtype=np.int64)
+    bmat = backend.identity_batch(batch, n)
+    runs = [backend.identity(n) for _ in range(batch)]
+    for r in range(3):
+        parents = np.stack(
+            [
+                noop if (b + r) % 3 == 0 else random_tree(n, rng).parent_array_numpy()
+                for b in range(batch)
+            ]
+        )
+        assert backend.batch_compose_inplace(bmat, parents) is bmat
+        for b in range(batch):
+            backend.compose_with_tree_inplace(runs[b], parents[b])
+            assert backend.equal(backend.slice_run(bmat, b), runs[b]), (r, b)
+        if backend_name == "bitset":
+            assert _padding_is_zero(bmat, n)
+
+
+@pytest.mark.parametrize("backend_name", ["dense", "bitset"])
+def test_batch_compose_updates_a_non_contiguous_batch_in_place(backend_name):
+    """A strided batch (every other run of a larger tensor) is updated in place.
+
+    A kernel that reshaped the batch and OR-ed into the reshape would
+    write into a copy and silently drop the update.
+    """
+    backend = get_backend(backend_name)
+    n = 65
+    rng = np.random.default_rng(5)
+    full = backend.identity_batch(6, n)
+    warm = np.stack([random_tree(n, rng).parent_array_numpy() for _ in range(6)])
+    backend.batch_compose_inplace(full, warm)
+    batch = full[::2]
+    assert not batch.flags.c_contiguous
+    parents = np.stack([random_tree(n, rng).parent_array_numpy() for _ in range(3)])
+    want = [
+        backend.compose_with_tree(backend.slice_run(batch, b), parents[b])
+        for b in range(3)
+    ]
+    skipped = [backend.copy(backend.slice_run(full, b)) for b in (1, 3, 5)]
+    backend.batch_compose_inplace(batch, parents)
+    for b in range(3):
+        assert backend.equal(backend.slice_run(full, 2 * b), want[b]), b
+    for b, before in zip((1, 3, 5), skipped):
+        assert backend.equal(backend.slice_run(full, b), before), b
 
 
 @given(data=st.data(), n=st.integers(min_value=1, max_value=70))

@@ -14,12 +14,12 @@ from repro.adversaries.beam import BeamSearchAdversary
 from repro.adversaries.greedy import GreedyDelayAdversary
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
-from repro.core.broadcast import broadcast_time_sequence, run_adversary
+from repro.core.broadcast import broadcast_time_sequence, run_adversary, run_sequence
 from repro.core.state import BroadcastState
 from repro.engine.batch import BatchRunner, run_sequences_batch
 from repro.engine.runner import run_adversaries_batch, run_multi_seed
 from repro.errors import AdversaryError, DimensionMismatchError, SimulationError
-from repro.trees.generators import path, random_tree
+from repro.trees.generators import path, random_tree, star
 from repro.trees.rooted_tree import RootedTree
 
 BACKENDS = ["dense", "bitset"]
@@ -127,20 +127,96 @@ def test_max_rounds_truncation(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mixed_completion_keeps_matrices_frozen(backend):
-    """A finished run's matrix must not change while others continue."""
+    """A finished run keeps its t* state even when handed real trees."""
     n = 5
     runner = BatchRunner(n, 2, backend=backend)
-    star_seq = [RootedTree([0] * n)]  # star: completes in one round
     long_seq = [path(n)] * (n - 1)
-    runner.step([star_seq[0], long_seq[0]])
+    runner.step([star(n), long_seq[0]])  # the star completes in one round
     assert runner.t_star(0) == 1 and runner.t_star(1) is None
-    frozen = runner.state(0).reach_matrix
+    frozen = runner.state(0)
+    assert frozen.round_index == 1
+    rng = np.random.default_rng(0)
     for tree in long_seq[1:]:
-        runner.step([None, tree])
+        runner.step([random_tree(n, rng), tree])
     assert runner.t_star(0) == 1
-    assert (runner.state(0).reach_matrix == frozen).all()
+    assert runner.state(0) == frozen
+    assert runner.state_view(0) == frozen
     assert runner.t_star(1) == n - 1
     assert runner.all_complete
+
+
+def _finish_at(n: int, t: int) -> list:
+    """A tree sequence whose t* is ``t`` (paths, then a star at round t)."""
+    return [path(n)] * (t - 1) + [star(n)]
+
+
+def _assert_runner_matches(runner, refs):
+    """Every per-run accessor equals the sequential reference state."""
+    want_t = [ref.t_star for ref in refs]
+    assert runner.t_stars() == want_t
+    assert list(runner.completed()) == [t is not None for t in want_t]
+    assert runner.live_runs() == [b for b, t in enumerate(want_t) if t is None]
+    assert runner.all_complete == all(t is not None for t in want_t)
+    sizes = runner.reach_sizes()
+    for b, ref in enumerate(refs):
+        state = ref.final_state
+        assert runner.state(b) == state, b
+        assert runner.state_view(b) == state, b
+        assert runner.broadcasters(b) == state.broadcasters(), b
+        assert (sizes[b] == state.reach_sizes()).all(), b
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_runs_retire_in_scrambled_order(backend):
+    """Runs finish out of index order, several per round, one never.
+
+    After every round each accessor must equal the sequential engine on
+    the run's own prefix; finished runs are handed real trees throughout.
+    """
+    n, rounds = 8, 6
+    finish = [4, 1, None, 2, 4, 1, 3]  # run 2 stays live to the last round
+    seqs = [
+        [path(n)] * rounds if t is None else _finish_at(n, t) for t in finish
+    ]
+    rng = np.random.default_rng(3)
+    runner = BatchRunner(n, len(seqs), backend=backend)
+    for r in range(rounds):
+        runner.step(
+            [seq[r] if r < len(seq) else random_tree(n, rng) for seq in seqs]
+        )
+        refs = [run_sequence(seq[: r + 1], n=n, backend=backend) for seq in seqs]
+        _assert_runner_matches(runner, refs)
+    assert runner.t_stars() == finish
+    assert runner.live_runs() == [2]
+    assert runner.round_index == rounds
+    assert runner.state(2).round_index == rounds
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_all_runs_retire_in_round_one(backend):
+    """A batch that completes at once keeps its t* states and counts rounds."""
+    n = 6
+    runner = BatchRunner(n, 3, backend=backend)
+    runner.step([star(n)] * 3)
+    assert runner.all_complete and runner.live_runs() == []
+    ref = run_sequence([star(n)], n=n, backend=backend)
+    runner.step([path(n), path(n), None])  # nothing left to compose
+    assert runner.round_index == 2
+    assert runner.t_stars() == [1, 1, 1]
+    _assert_runner_matches(runner, [ref] * 3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sequences_longer_than_t_star(backend):
+    """Trees after a run's t* do not move its recorded t*."""
+    n = 7
+    rng = np.random.default_rng(11)
+    tail = [random_tree(n, rng) for _ in range(2 * n)]
+    seqs = [_finish_at(n, t) + tail for t in (3, 1, 5, 2)]
+    seqs.append([path(n)] * (n + 3))
+    got = run_sequences_batch(seqs, n=n, backend=backend)
+    assert got == [3, 1, 5, 2, n - 1]
+    assert got == [broadcast_time_sequence(s, n=n) for s in seqs]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -184,6 +184,50 @@ class TestExecutorEquivalence:
         assert got.to_json() == want.to_json()
 
 
+class TestLockstepRetirement:
+    """Runs leave the lockstep batch at t*; reports equal the sequential run."""
+
+    @staticmethod
+    def _mixed_group(n):
+        # t* 4, 1 and 2 for the fixed sequences (after="error": querying a
+        # finished run past its sequence would raise), adaptive and
+        # compiled runs around them, and a rotating path that outlives a
+        # cap of 6.
+        return [
+            SequenceAdversary([path(n)] * 3 + [star(n)], after="error"),
+            RandomTreeAdversary(n, seed=1),
+            RotatingPathAdversary(n, shift=1),
+            SequenceAdversary([star(n)], after="error"),
+            AlternatingPathAdversary(n, period=2),
+            SequenceAdversary([path(n), star(n)], after="error"),
+            CyclicFamilyAdversary(n),
+            RandomTreeAdversary(n, seed=2),
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("max_rounds", [None, 6])
+    def test_scrambled_finishes_match_sequential(self, backend, max_rounds):
+        n = 10
+        with use_backend(backend):
+            want = [
+                SequentialExecutor().run(
+                    RunSpec(adversary=adv, n=n, max_rounds=max_rounds)
+                )
+                for adv in self._mixed_group(n)
+            ]
+            got = BatchExecutor().run_many(
+                [
+                    RunSpec(adversary=adv, n=n, max_rounds=max_rounds)
+                    for adv in self._mixed_group(n)
+                ]
+            )
+        assert [_report_key(r) for r in got] == [_report_key(r) for r in want]
+        t_stars = [r.t_star for r in want]
+        assert t_stars[0] == 4 and t_stars[3] == 1 and t_stars[5] == 2
+        if max_rounds is not None:
+            assert t_stars[2] is None and got[2].rounds == max_rounds
+
+
 class TestCompiledSchedules:
     """The compiled fast path must be bit-identical to the tree path."""
 

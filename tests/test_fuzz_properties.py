@@ -15,7 +15,10 @@ adversarial inputs across BOTH matrix backends:
 * per-round gains accounting -- ``gains_under`` predicts exactly the
   reach-size delta of playing the tree;
 * cross-backend equality -- dense and bitset agree on ``t*``, the final
-  matrix, and every intermediate reach count.
+  matrix, and every intermediate reach count;
+* lockstep batches -- :class:`BatchRunner` and :class:`BatchExecutor`
+  equal the sequential engine run by run, however the runs' ``t*``
+  (and so the rounds at which they leave the batch) interleave.
 
 Runs are deterministic: hypothesis is ``derandomize``d (CI exercises the
 suite under a fixed seed on both backends).
@@ -28,11 +31,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.adversaries.base import SequenceAdversary
 from repro.core import matrix as M
 from repro.core.backend import get_backend, use_backend
 from repro.core.bounds import trivial_upper_bound, upper_bound
 from repro.core.broadcast import run_sequence
 from repro.core.state import BroadcastState
+from repro.engine.batch import BatchRunner
+from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor
 from repro.trees.generators import random_tree
 from repro.trees.rooted_tree import RootedTree
 
@@ -58,6 +64,18 @@ def tree_sequences(draw, min_n: int = 2, max_n: int = 12, max_len: int = 24):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     return n, [random_tree(n, rng) for _ in range(length)]
+
+
+@st.composite
+def sequence_batches(draw, max_n: int = 12, max_len: int = 16, max_batch: int = 6):
+    """``(n, [sequence per run])``: equal-length sequences over one n."""
+    n = draw(st.integers(2, max_n))
+    length = draw(st.integers(1, max_len))
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=max_batch))
+    return n, [
+        [random_tree(n, rng) for _ in range(length)]
+        for rng in map(np.random.default_rng, seeds)
+    ]
 
 
 @st.composite
@@ -237,6 +255,56 @@ def test_backends_agree_on_tstar(seq):
         run_sequence(trees, n=n, backend="dense").t_star
         == run_sequence(trees, n=n, backend="bitset").t_star
     )
+
+
+# ----------------------------------------------------------------------
+# Lockstep batches (runs retire from the stacked tensor at t*)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@FUZZ
+@given(sequence_batches())
+def test_batch_runner_equals_sequential_per_run(backend, batch):
+    n, seqs = batch
+    runner = BatchRunner(n, len(seqs), backend=backend)
+    for r in range(len(seqs[0])):
+        runner.step([seq[r] for seq in seqs])
+    sizes = runner.reach_sizes()
+    for b, seq in enumerate(seqs):
+        ref = run_sequence(seq, n=n, backend=backend)
+        assert runner.t_star(b) == ref.t_star
+        assert runner.state(b) == ref.final_state
+        assert runner.broadcasters(b) == ref.broadcasters
+        assert (sizes[b] == ref.final_state.reach_sizes()).all()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@FUZZ
+@given(sequence_batches(max_n=9, max_len=10))
+def test_batch_executor_equals_sequential_executor(backend, batch):
+    n, seqs = batch
+
+    def specs():
+        return [
+            RunSpec(
+                adversary=SequenceAdversary(seq, after="error"),
+                n=n,
+                max_rounds=len(seq),
+                backend=backend,
+            )
+            for seq in seqs
+        ]
+
+    want = SequentialExecutor().run_many(specs())
+    got = BatchExecutor().run_many(specs())
+    for w, g in zip(want, got):
+        assert (g.t_star, g.rounds, g.broadcasters) == (
+            w.t_star,
+            w.rounds,
+            w.broadcasters,
+        )
+        assert g.final_state == w.final_state
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
