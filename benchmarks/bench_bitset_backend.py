@@ -24,7 +24,7 @@ from repro.analysis.tables import format_table
 from repro.core.backend import get_backend
 from repro.core.broadcast import run_sequence
 from repro.engine.batch import BatchRunner, run_sequences_batch
-from repro.engine.shard import ShardedSweepRunner, usable_cpus
+from repro.engine.shard import usable_cpus
 from repro.trees.generators import path, random_tree
 
 BACKENDS = ("dense", "bitset")
@@ -135,9 +135,8 @@ def test_sharded_sweep_speedup(n, report_sink):
     # Best-of-2 on both sides: a one-shot wall-clock sample on a shared
     # CI runner is too noisy to gate on (pool startup included each time).
     t_seq, seq = _time(lambda: sweep_adversaries(factories, ns), repeats=2)
-    runner = ShardedSweepRunner(workers=workers)
     t_shard, sharded = _time(
-        lambda: runner.sweep_adversaries(factories, ns), repeats=2
+        lambda: sweep_adversaries(factories, ns, workers=workers), repeats=2
     )
     assert sharded == seq, "sharded sweep must be bit-identical to sequential"
     speedup = t_seq / t_shard

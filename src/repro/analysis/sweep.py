@@ -164,10 +164,10 @@ def make_sweep_point(adversary: str, n: int, t_star: Optional[int]) -> Optional[
     """The canonical measurement record for one completed grid point.
 
     Returns ``None`` for runs truncated by an explicit cap (``t_star``
-    ``None``) -- such points are dropped from sweep results.  Both the
-    sequential loop below and the sharded workers
-    (:mod:`repro.engine.shard`) build their points here, which is what
-    keeps the two paths bit-identical by construction.
+    ``None``) -- such points are dropped from sweep results.
+    :meth:`repro.engine.executor.Executor.sweep` (every executor) and the
+    task graph's ``sweep-agg`` fold build their points here, so all sweep
+    paths produce identical records.
     """
     if t_star is None:
         return None

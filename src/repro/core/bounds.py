@@ -79,8 +79,8 @@ def resolve_round_cap(n: int, max_rounds: Optional[int] = None) -> Tuple[int, bo
       never raises.
 
     Sourced from :class:`repro.engine.executor.RunSpec` by every executor,
-    and from here directly by the legacy drivers, so the sequential,
-    instrumented, batched, and sharded paths cannot drift apart.
+    so the sequential, instrumented, batched, and sharded paths cannot
+    drift apart.
     """
     if max_rounds is None:
         return trivial_upper_bound(n), False

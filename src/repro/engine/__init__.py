@@ -33,7 +33,7 @@ from repro.engine.runner import (
 )
 from repro.engine.metrics import MetricsCollector, RunMetrics
 from repro.engine.rng import derive_rng, spawn_seeds
-from repro.engine.shard import ShardedSweepRunner, default_sweep_factories
+from repro.engine.shard import default_sweep_factories
 
 __all__ = [
     "HeardOfSimulator",
@@ -59,7 +59,6 @@ __all__ = [
     "compare_engines",
     "MetricsCollector",
     "RunMetrics",
-    "ShardedSweepRunner",
     "default_sweep_factories",
     "derive_rng",
     "spawn_seeds",

@@ -1,11 +1,10 @@
 """Unified execution layer: one ``RunSpec`` in, one ``RunReport`` out.
 
-Before this module the repository had four divergent ways to drive a
-broadcast run (``core.broadcast.run_adversary``, the instrumented
-``engine.runner.run_engine``, the batched ``engine.runner``/``engine.batch``
-path, and the sharded ``engine.shard`` pool), each with its own loop,
-round-cap policy, and result shape.  They are now all facades over this
-layer:
+Every way to drive a broadcast run (``core.broadcast.run_adversary``,
+the instrumented ``engine.runner.run_engine``, the batched
+``engine.runner``/``engine.batch`` path, sweeps, experiments and the
+service) is a facade over this layer, so there is one loop, one round-cap
+policy and one result shape:
 
 * :class:`RunSpec` -- the full description of one run: adversary (instance
   or ``n -> adversary`` factory), ``n``, seed, ``max_rounds``, backend, and
@@ -22,7 +21,9 @@ layer:
   (vectorized compose + completion checks over the runs not yet complete);
 * :class:`ShardedExecutor` -- partitions the spec list across a
   ``multiprocessing`` pool, each worker running a :class:`BatchExecutor`
-  shard; results merge back in spec order.
+  shard; results merge back in spec order.  It is the only multiprocess
+  engine: a sharded sweep is the base :meth:`Executor.sweep` over its
+  ``run_many``.
 
 All three are decision-equivalent by construction: every run observes only
 the state its own moves produced, and the round-cap policy is resolved in
@@ -773,17 +774,37 @@ def _spec_shard_worker(payload: Tuple) -> List[Tuple[int, RunReport]]:
 class ShardedExecutor(Executor):
     """Partition spec lists across a ``multiprocessing`` worker pool.
 
-    Sharding follows :class:`repro.engine.shard.ShardedSweepRunner`'s
-    determinism recipe: contiguous balanced shards, backends resolved to
-    *names* before crossing the ``spawn`` boundary, outputs merged back by
-    spec index -- so results are element-wise identical to
-    :class:`BatchExecutor` (hence :class:`SequentialExecutor`) for any
-    worker count.  Specs must be picklable for ``workers > 1``: use
-    factories (module-level callables / classes / ``functools.partial``)
-    rather than closures, exactly as sharded sweeps require.
+    The spec list is cut into contiguous balanced shards
+    (:func:`repro.engine.shard.split_shards`); each worker runs its shard
+    through one :class:`BatchExecutor` and the parent merges the reports
+    back into spec order.  Sweeps use the base :meth:`Executor.sweep`, so
+    a sharded sweep is ``run_many`` over the ``n``-major grid.
 
-    ``workers=1`` runs everything inline through one
-    :class:`BatchExecutor` (no pool, no pickling requirement).
+    Determinism: results are element-wise identical to
+    :class:`BatchExecutor` (hence :class:`SequentialExecutor`) for any
+    worker count, by construction:
+
+    * every spec is an independent run -- its adversary observes only the
+      state its own moves produced, whether it shares a batch with 0 or
+      100 neighbours, so shard composition cannot influence any outcome;
+    * per-run RNG comes from the spec's own factory (its seed / node
+      count), never from shared pool state;
+    * each spec's backend is resolved to a *name* in the parent and
+      re-resolved inside the worker, so ``use_backend(...)`` /
+      ``--backend`` selections survive the ``spawn`` boundary (child
+      processes do not inherit in-process defaults);
+    * shard outputs carry their spec indices and are merged by index.
+
+    Spawn safety: the default ``mp_context`` is ``"spawn"`` -- the
+    strictest start method (and the only one on Windows/macOS): workers
+    import everything fresh, so specs must be picklable for
+    ``workers > 1``.  Module-level functions, classes and
+    :func:`functools.partial` over them are; closures and lambdas are not
+    (:func:`repro.engine.shard.default_sweep_factories` is a picklable
+    portfolio).  ``workers=1``, or a single shard's worth of specs, runs
+    inline through one :class:`BatchExecutor` (no pool, no pickling
+    requirement).  The caller's trace context crosses the boundary in the
+    shard payload, so worker spans join the caller's trace tree.
     """
 
     name = "sharded"
@@ -840,28 +861,6 @@ class ShardedExecutor(Executor):
             merged.extend(shard_out)
         merged.sort(key=lambda pair: pair[0])
         return [report for _, report in merged]
-
-    def sweep(
-        self,
-        adversary_factories: Dict[str, Callable[[int], AdversaryProtocol]],
-        ns: Sequence[int],
-        max_rounds: Optional[int] = None,
-        backend: BackendLike = None,
-    ) -> "SweepResult":
-        """Sharded sweep via :class:`~repro.engine.shard.ShardedSweepRunner`.
-
-        Delegates to the proven bit-identical merge path (the runner's
-        workers drive :class:`BatchExecutor` through
-        :func:`repro.engine.runner.run_adversaries_batch`).
-        """
-        from repro.engine.shard import ShardedSweepRunner
-
-        runner = ShardedSweepRunner(
-            workers=self._workers,
-            backend=backend if backend is not None else self._backend,
-            mp_context=self._mp_context,
-        )
-        return runner.sweep_adversaries(adversary_factories, ns, max_rounds=max_rounds)
 
 
 def get_executor(

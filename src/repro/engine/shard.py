@@ -1,57 +1,26 @@
-"""Sharded multiprocess sweep engine.
+"""Worker-pool helpers behind :class:`repro.engine.executor.ShardedExecutor`.
 
-:class:`ShardedSweepRunner` scales the batched sweep drivers
-(:func:`repro.analysis.sweep.sweep_adversaries`,
-:func:`repro.engine.runner.run_multi_seed`) across a ``multiprocessing``
-worker pool.  The sweep grid is partitioned into contiguous per-process
-shards; each worker advances its shard's runs in lockstep through one
-:class:`~repro.engine.batch.BatchRunner` per node count, and the parent
-merges the shard outputs back into grid order.
-
-Determinism
------------
-Results are **bit-identical to the sequential path regardless of worker
-count**, by construction:
-
-* every grid point is an independent run -- its adversary observes only
-  the state its own moves produced, whether it shares a batch with 0 or
-  100 neighbours, so shard composition cannot influence any outcome;
-* per-point RNG comes from the point's own factory argument (its seed /
-  node count), never from shared pool state;
-* the backend is resolved to a *name* in the parent and re-resolved
-  inside each worker, so ``use_backend(...)`` / ``--backend`` selections
-  survive the ``spawn`` boundary (child processes do not inherit
-  in-process defaults);
-* shard outputs carry their grid indices and are merged by index, so the
-  merged order equals the sequential enumeration order.
-
-Spawn safety
-------------
-The default ``mp_context`` is ``"spawn"`` -- the strictest start method
-(and the only one on Windows/macOS): workers import everything fresh, so
-all shard payloads (factories included) must be picklable.  Plain
-functions, classes used as factories, and :func:`functools.partial` over
-them are; closures and lambdas are not -- :func:`default_sweep_factories`
-provides a picklable portfolio for the common case.  ``workers=1`` runs
-the shard inline (no pool, no pickling requirement), which is also the
-fallback when the grid has a single shard's worth of work.
+:func:`split_shards` partitions a spec list into contiguous balanced
+shards, :func:`resolve_pool_config` validates the pool settings and
+:func:`pool_map` runs a shard worker over the payloads (inline for one
+worker).  :func:`default_sweep_factories` is the standard adversary
+portfolio as picklable factories, so a sharded sweep can ship it across
+the ``spawn`` boundary.  Why sharded results are bit-identical to the
+sequential path for any worker count is set out on
+:class:`~repro.engine.executor.ShardedExecutor`.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.sweep import SweepPoint, SweepResult, make_sweep_point
-from repro.core.backend import BackendLike, get_backend
-from repro.core.broadcast import BroadcastResult
 from repro.errors import SimulationError
 from repro.types import AdversaryProtocol
 
-#: Start methods accepted by :class:`ShardedSweepRunner`.
+#: Start methods accepted by :class:`~repro.engine.executor.ShardedExecutor`.
 MP_CONTEXTS = ("spawn", "fork", "forkserver")
 
 
@@ -68,23 +37,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class SweepTask:
-    """One grid point: run ``factories[name](n)`` and measure ``t*``."""
-
-    index: int
-    name: str
-    n: int
-
-
 def split_shards(items: Sequence, shards: int) -> List[List]:
     """Partition ``items`` into ``shards`` contiguous, balanced chunks.
 
     The first ``len(items) % shards`` chunks get one extra item
     (``np.array_split`` semantics); empty chunks are dropped.  Contiguity
     keeps same-``n`` grid points together so workers can batch them.
-    Shared by :class:`ShardedSweepRunner` and
-    :class:`repro.engine.executor.ShardedExecutor`.
     """
     items = list(items)
     shards = max(1, min(shards, len(items)))
@@ -98,19 +56,12 @@ def split_shards(items: Sequence, shards: int) -> List[List]:
     return out
 
 
-#: Backwards-compatible alias (pre-executor name).
-_split_shards = split_shards
-
-
 def resolve_pool_config(
     workers: Optional[int], mp_context: str
 ) -> Tuple[int, str]:
-    """Validate the worker-pool configuration both sharded engines share.
+    """Validate a worker-pool configuration; returns ``(workers, mp_context)``.
 
-    ``None`` workers defaults to :func:`usable_cpus` (affinity-aware);
-    the returned pair is what :class:`ShardedSweepRunner` and
-    :class:`repro.engine.executor.ShardedExecutor` store, so the two
-    engines cannot drift in what they accept.
+    ``None`` workers defaults to :func:`usable_cpus` (affinity-aware).
     """
     if workers is None:
         workers = usable_cpus()
@@ -130,7 +81,7 @@ def pool_map(
 
     Inline (no pool, no pickling requirement) when ``workers == 1`` or
     there is at most one payload; otherwise every payload is
-    pickle-checked up front so a non-picklable factory fails with a
+    pickle-checked up front so a non-picklable factory fails with an
     actionable message instead of a deep pool traceback.
     """
     if workers == 1 or len(payloads) <= 1:
@@ -150,179 +101,6 @@ def pool_map(
     ctx = mp.get_context(mp_context)
     with ctx.Pool(processes=min(workers, len(payloads))) as pool:
         return pool.map(worker, payloads)
-
-
-def _sweep_shard_worker(payload: Tuple) -> List[Tuple[int, Optional[SweepPoint]]]:
-    """Run one sweep shard; returns ``(grid index, point-or-None)`` pairs.
-
-    Consecutive tasks sharing a node count advance in lockstep through a
-    single :class:`~repro.engine.batch.BatchRunner` (via
-    :func:`~repro.engine.runner.run_adversaries_batch`); ``None`` marks a
-    point truncated by an explicit ``max_rounds`` cap, which the merge
-    step drops exactly like the sequential sweep does.
-    """
-    from repro.engine.runner import run_adversaries_batch
-
-    tasks, factories, backend_name, max_rounds = payload
-    backend = get_backend(backend_name)
-    out: List[Tuple[int, Optional[SweepPoint]]] = []
-    i = 0
-    while i < len(tasks):
-        j = i
-        while j < len(tasks) and tasks[j].n == tasks[i].n:
-            j += 1
-        group = tasks[i:j]
-        n = group[0].n
-        results = run_adversaries_batch(
-            [factories[task.name](n) for task in group],
-            n,
-            max_rounds=max_rounds,
-            backend=backend,
-        )
-        for task, result in zip(group, results):
-            out.append((task.index, make_sweep_point(task.name, n, result.t_star)))
-        i = j
-    return out
-
-
-def _multi_seed_shard_worker(payload: Tuple) -> List[Tuple[int, BroadcastResult]]:
-    """Run one multi-seed shard; returns ``(seed index, result)`` pairs."""
-    from repro.engine.runner import run_multi_seed
-
-    indices, seeds, factory, n, backend_name, max_rounds = payload
-    results = run_multi_seed(
-        factory,
-        n,
-        seeds,
-        max_rounds=max_rounds,
-        backend=get_backend(backend_name),
-    )
-    return list(zip(indices, results))
-
-
-class ShardedSweepRunner:
-    """Partition sweep grids across a multiprocessing worker pool.
-
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` uses :func:`usable_cpus` (affinity-aware).
-        ``1`` runs every shard inline in this process (no pool, no
-        pickling requirement).
-    backend:
-        Matrix backend for all shards (name or instance); defaults to the
-        process-wide default *at call time*, so ``use_backend(...)``
-        blocks work as expected.
-    mp_context:
-        Start method for worker processes (default ``"spawn"``).
-
-    Every public method is element-wise bit-identical to its sequential
-    counterpart for any worker count (see the module docstring for why).
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        backend: BackendLike = None,
-        mp_context: str = "spawn",
-    ) -> None:
-        self._workers, self._mp_context = resolve_pool_config(workers, mp_context)
-        self._backend = backend
-
-    @property
-    def workers(self) -> int:
-        """Maximum number of worker processes."""
-        return self._workers
-
-    def _backend_name(self) -> str:
-        """The backend name shipped to (and re-resolved by) workers."""
-        return get_backend(self._backend).name
-
-    def _map_shards(self, worker: Callable, payloads: List[Tuple]) -> List[List]:
-        """Run ``worker`` over shard payloads via the shared pool helper."""
-        return pool_map(worker, payloads, self._workers, self._mp_context)
-
-    # ------------------------------------------------------------------
-    # Sweep grids
-    # ------------------------------------------------------------------
-
-    def sweep_adversaries(
-        self,
-        adversary_factories: Dict[str, Callable[[int], AdversaryProtocol]],
-        ns: Sequence[int],
-        max_rounds: Optional[int] = None,
-    ) -> SweepResult:
-        """Sharded :func:`repro.analysis.sweep.sweep_adversaries`.
-
-        The grid is enumerated ``n``-major exactly like the sequential
-        sweep; shard outputs are merged back into that order, so the
-        returned :class:`SweepResult` compares equal to the sequential
-        one for every worker count.
-        """
-        tasks = [
-            SweepTask(index=i, name=name, n=n)
-            for i, (n, name) in enumerate(
-                (n, name) for n in ns for name in adversary_factories
-            )
-        ]
-        if not tasks:
-            return SweepResult()
-        backend_name = self._backend_name()
-        payloads = [
-            (shard, dict(adversary_factories), backend_name, max_rounds)
-            for shard in _split_shards(tasks, self._workers)
-        ]
-        merged: List[Tuple[int, Optional[SweepPoint]]] = []
-        for shard_out in self._map_shards(_sweep_shard_worker, payloads):
-            merged.extend(shard_out)
-        merged.sort(key=lambda pair: pair[0])
-        return SweepResult(
-            points=[point for _, point in merged if point is not None]
-        )
-
-    def sweep_n(
-        self,
-        factory: Callable[[int], AdversaryProtocol],
-        ns: Sequence[int],
-        name: str = "adversary",
-        max_rounds: Optional[int] = None,
-    ) -> SweepResult:
-        """Sharded :func:`repro.analysis.sweep.sweep_n`."""
-        return self.sweep_adversaries({name: factory}, ns, max_rounds=max_rounds)
-
-    # ------------------------------------------------------------------
-    # Multi-seed runs
-    # ------------------------------------------------------------------
-
-    def run_multi_seed(
-        self,
-        factory: Callable[[int], AdversaryProtocol],
-        n: int,
-        seeds: Sequence[int],
-        max_rounds: Optional[int] = None,
-    ) -> List[BroadcastResult]:
-        """Sharded :func:`repro.engine.runner.run_multi_seed`.
-
-        Returns full :class:`BroadcastResult` objects in seed order,
-        element-wise equal (``t*``, broadcasters, final state) to the
-        sequential call.
-        """
-        indexed = list(enumerate(int(s) for s in seeds))
-        if not indexed:
-            return []
-        backend_name = self._backend_name()
-        payloads = []
-        for shard in _split_shards(indexed, self._workers):
-            idxs = [i for i, _ in shard]
-            shard_seeds = [s for _, s in shard]
-            payloads.append(
-                (idxs, shard_seeds, factory, n, backend_name, max_rounds)
-            )
-        merged: List[Tuple[int, BroadcastResult]] = []
-        for shard_out in self._map_shards(_multi_seed_shard_worker, payloads):
-            merged.extend(shard_out)
-        merged.sort(key=lambda pair: pair[0])
-        return [result for _, result in merged]
 
 
 def default_sweep_factories(
@@ -373,8 +151,6 @@ def default_sweep_factories(
 
 __all__ = [
     "MP_CONTEXTS",
-    "ShardedSweepRunner",
-    "SweepTask",
     "default_sweep_factories",
     "pool_map",
     "resolve_pool_config",

@@ -14,9 +14,8 @@ carries
 task graph and executes it (:func:`run_experiment`), which is what makes
 experiments cacheable (a warm rerun computes zero runs and reproduces the
 table byte-identically), resumable, and shardable through any executor.
-The pre-task-API inline implementations are retained as
-:meth:`ExperimentSpec.run_legacy`; the equivalence suite pins the two
-paths against each other and against golden fixtures.
+It is the only experiment path; ``tests/fixtures/golden_experiments.json``
+pins every rendered table byte for byte.
 
 Every run function returns an :class:`ExperimentTable` -- headers, rows,
 and the assertions-passed flag -- so callers (CLI, notebooks, tests, the
@@ -127,31 +126,6 @@ def _e1_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
     )
 
 
-def _e1_legacy() -> ExperimentTable:
-    from repro.core import bounds as B
-
-    rows = []
-    ok = True
-    for n in _E1_NS:
-        new = B.upper_bound(n)
-        nlogn = B.nlogn_upper_bound(n)
-        loglog = B.fugger_nowak_winkler_upper_bound(n)
-        rows.append(
-            (n, B.trivial_upper_bound(n), nlogn, loglog, new, B.lower_bound(n))
-        )
-        ok = ok and new < nlogn and new < loglog
-    return ExperimentTable(
-        "E1",
-        "Figure 1 bounds overview",
-        ["n", "trivial n^2", "n log n", "2n loglog n + 2n", "(1+sqrt2)n", "LB"],
-        rows,
-        notes=[
-            f"crossover vs n log n at n = {B.crossover_nlogn_vs_linear()}"
-        ],
-        checks_passed=ok,
-    )
-
-
 # ----------------------------------------------------------------------
 # E2: Theorem 3.1 sandwich
 # ----------------------------------------------------------------------
@@ -172,26 +146,6 @@ def _e2_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
     ok = True
     for doc in inputs:
         n, t = doc["n"], doc["t_star"]
-        rows.append((n, lower_bound(n), t, upper_bound(n), f"{t / n:.3f}"))
-        ok = ok and lower_bound(n) <= t <= upper_bound(n)
-    return ExperimentTable(
-        "E2",
-        "Theorem 3.1 sandwich (cyclic chain-fan witness)",
-        ["n", "LB formula", "measured t*", "UB formula", "t*/n"],
-        rows,
-        checks_passed=ok,
-    )
-
-
-def _e2_legacy() -> ExperimentTable:
-    from repro.adversaries.zeiner import CyclicFamilyAdversary
-    from repro.core.bounds import lower_bound, upper_bound
-    from repro.core.broadcast import run_adversary
-
-    rows = []
-    ok = True
-    for n in _E2_NS:
-        t = run_adversary(CyclicFamilyAdversary(n), n).t_star
         rows.append((n, lower_bound(n), t, upper_bound(n), f"{t / n:.3f}"))
         ok = ok and lower_bound(n) <= t <= upper_bound(n)
     return ExperimentTable(
@@ -236,28 +190,6 @@ def _e3_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
     )
 
 
-def _e3_legacy() -> ExperimentTable:
-    from repro.adversaries.exact import ExactGameSolver
-    from repro.core.bounds import lower_bound, upper_bound
-
-    rows = []
-    ok = True
-    for n in _E3_NS:
-        result = ExactGameSolver(n).solve()
-        rows.append(
-            (n, lower_bound(n), result.t_star, upper_bound(n), result.states_explored)
-        )
-        ok = ok and result.t_star == lower_bound(n)
-    return ExperimentTable(
-        "E3",
-        "exact game values (LB formula tight for n <= 5 in-run; 6 recorded)",
-        ["n", "LB formula", "exact t*", "UB formula", "states"],
-        rows,
-        notes=list(_E3_NOTES),
-        checks_passed=ok,
-    )
-
-
 # ----------------------------------------------------------------------
 # E4: Section 2 baselines
 # ----------------------------------------------------------------------
@@ -279,26 +211,6 @@ def _e4_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
     for path_doc, star_doc in zip(inputs[0::2], inputs[1::2]):
         n = path_doc["n"]
         pt, st = path_doc["t_star"], star_doc["t_star"]
-        rows.append((n, pt, n - 1, st))
-        ok = ok and pt == n - 1 and st == 1
-    return ExperimentTable(
-        "E4",
-        "Section 2 baselines (static path n-1; star 1)",
-        ["n", "static path t*", "paper n-1", "static star t*"],
-        rows,
-        checks_passed=ok,
-    )
-
-
-def _e4_legacy() -> ExperimentTable:
-    from repro.core.broadcast import run_sequence
-    from repro.trees.generators import path, star
-
-    rows = []
-    ok = True
-    for n in _E4_NS:
-        pt = run_sequence([path(n)] * (n - 1), n).t_star
-        st = run_sequence([star(n)], n).t_star
         rows.append((n, pt, n - 1, st))
         ok = ok and pt == n - 1 and st == 1
     return ExperimentTable(
@@ -354,28 +266,6 @@ def _e5_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
     )
 
 
-def _e5_legacy() -> ExperimentTable:
-    from repro.adversaries.restricted import KInnerAdversary, KLeafAdversary
-    from repro.analysis.stats import linear_fit
-    from repro.core.broadcast import run_adversary
-
-    rows = []
-    ok = True
-    for k in (2, 3):
-        for name, factory in (("leaves", KLeafAdversary), ("inner", KInnerAdversary)):
-            ts = [run_adversary(factory(n, k), n).t_star for n in _E5_NS]
-            fit = linear_fit(_E5_NS, ts)
-            rows.append((f"k={k} {name}", *ts, f"{fit.slope:.2f}", f"{fit.r_squared:.3f}"))
-            ok = ok and fit.r_squared > 0.9
-    return ExperimentTable(
-        "E5",
-        "restricted adversaries stay linear (O(kn))",
-        ["family", *[f"n={n}" for n in _E5_NS], "slope", "R^2"],
-        rows,
-        checks_passed=ok,
-    )
-
-
 # ----------------------------------------------------------------------
 # E6: nonsplit bridge
 # ----------------------------------------------------------------------
@@ -404,37 +294,6 @@ def _e6_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
             (doc["n"], doc["radius"], doc["t_star"], "yes" if lemma_n else "NO")
         )
         ok = ok and doc["radius"] <= 6 and doc["t_star"] <= 8 and lemma_n
-    return ExperimentTable(
-        "E6",
-        "nonsplit bridge ([1], [9])",
-        ["n", "cyclic radius", "random nonsplit t*", "n-1 rounds nonsplit"],
-        rows,
-        checks_passed=ok,
-    )
-
-
-def _e6_legacy() -> ExperimentTable:
-    import numpy as np
-
-    from repro.adversaries.nonsplit import (
-        NonsplitAdversary,
-        broadcast_time_nonsplit,
-        cyclic_nonsplit_graph,
-        nonsplit_radius,
-    )
-    from repro.gossip.consensus import blocks_are_nonsplit
-    from repro.trees.generators import random_tree
-
-    rows = []
-    ok = True
-    rng = np.random.default_rng(0)
-    for n in _E6_NS:
-        radius = nonsplit_radius(cyclic_nonsplit_graph(n))
-        t, _ = broadcast_time_nonsplit(NonsplitAdversary(n, seed=1), n)
-        trees = [random_tree(n, rng) for _ in range(n - 1)]
-        lemma_n = blocks_are_nonsplit(trees, n)
-        rows.append((n, radius, t, "yes" if lemma_n else "NO"))
-        ok = ok and radius <= 6 and t <= 8 and lemma_n
     return ExperimentTable(
         "E6",
         "nonsplit bridge ([1], [9])",
@@ -488,34 +347,6 @@ def _e7_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
     )
 
 
-def _e7_legacy() -> ExperimentTable:
-    from repro.adversaries.oblivious import RandomTreeAdversary, StaticTreeAdversary
-    from repro.gossip.gossip import gossip_time_adversary
-    from repro.trees.generators import path
-
-    rows = []
-    ok = True
-    for n in _E7_NS:
-        adv = gossip_time_adversary(StaticTreeAdversary(path(n)), n, max_rounds=4 * n)
-        rnd = gossip_time_adversary(RandomTreeAdversary(n, seed=0), n)
-        rows.append(
-            (
-                n,
-                "never" if adv.gossip_time is None else adv.gossip_time,
-                rnd.broadcast_time,
-                rnd.gossip_time,
-            )
-        )
-        ok = ok and adv.gossip_time is None and rnd.gossip_time is not None
-    return ExperimentTable(
-        "E7",
-        "gossip: unbounded adversarially, cheap under random trees",
-        ["n", "adversarial gossip", "random broadcast t*", "random gossip"],
-        rows,
-        checks_passed=ok,
-    )
-
-
 # ----------------------------------------------------------------------
 # E8: design ablations
 # ----------------------------------------------------------------------
@@ -557,37 +388,6 @@ def _e8_aggregate(inputs: List[Dict[str, Any]]) -> ExperimentTable:
     )
 
 
-def _e8_legacy() -> ExperimentTable:
-    from repro.adversaries.annealing import anneal_sequence
-    from repro.adversaries.interval_game import arc_game_value
-    from repro.adversaries.paths import StaticPathAdversary
-    from repro.adversaries.zeiner import CyclicFamilyAdversary
-    from repro.core.bounds import lower_bound
-    from repro.core.broadcast import run_adversary
-
-    n = _E8_N
-    static = run_adversary(StaticPathAdversary(n), n).t_star
-    arcs = arc_game_value(n) if n <= 6 else n - 1  # proved n-1; solver for small n
-    annealed = anneal_sequence(n, iterations=400, seed=0).best_t_star
-    cyclic = run_adversary(CyclicFamilyAdversary(n), n).t_star
-    rows = [
-        ("static path", static),
-        ("rotated paths only (arc game)", arcs),
-        ("simulated annealing (400 it)", annealed),
-        ("cyclic chain-fan family", cyclic),
-        ("-- LB formula --", lower_bound(n)),
-    ]
-    ok = cyclic == lower_bound(n) and arcs <= static + 1
-    return ExperimentTable(
-        "E8",
-        f"search ablation at n={n}",
-        ["strategy", "t*"],
-        rows,
-        notes=["only the chain-fan family reaches the formula"],
-        checks_passed=ok,
-    )
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -599,8 +399,8 @@ class ExperimentSpec:
 
     ``units`` produces the experiment's task documents (no-input grid
     cells); ``aggregate`` purely folds their result documents -- in
-    ``units`` order -- into the table.  ``legacy`` is the pre-task-API
-    inline implementation, kept for equivalence testing.
+    ``units`` order -- into the table.  :meth:`run` executes the two as
+    one task graph (:func:`experiment_graph`).
     """
 
     experiment_id: str
@@ -608,22 +408,13 @@ class ExperimentSpec:
     paper_artifact: str
     units: Callable[[], List[Dict[str, Any]]]
     aggregate: Callable[[List[Dict[str, Any]]], ExperimentTable]
-    legacy: Callable[[], ExperimentTable]
-
-    def graph(self) -> Tuple["TaskGraph", str]:
-        """The experiment as ``(task graph, output digest)``."""
-        return experiment_graph(self.experiment_id)
 
     def run(
         self, executor: Any = None, cache: Optional["ResultCache"] = None
     ) -> ExperimentTable:
-        """Run through the task API (the default path everywhere)."""
+        """Run the experiment's task graph; returns only the table."""
         table, _ = run_experiment(self.experiment_id, executor=executor, cache=cache)
         return table
-
-    def run_legacy(self) -> ExperimentTable:
-        """Run the original inline implementation (equivalence oracle)."""
-        return self.legacy()
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {
@@ -631,35 +422,35 @@ _REGISTRY: Dict[str, ExperimentSpec] = {
     for spec in [
         ExperimentSpec(
             "E1", "Figure 1 bounds overview", "Figure 1",
-            _e1_units, _e1_aggregate, _e1_legacy,
+            _e1_units, _e1_aggregate,
         ),
         ExperimentSpec(
             "E2", "Theorem 3.1 sandwich", "Theorem 3.1",
-            _e2_units, _e2_aggregate, _e2_legacy,
+            _e2_units, _e2_aggregate,
         ),
         ExperimentSpec(
             "E3", "Exact game values", "Theorem 3.1 / Section 5",
-            _e3_units, _e3_aggregate, _e3_legacy,
+            _e3_units, _e3_aggregate,
         ),
         ExperimentSpec(
             "E4", "Section 2 baselines", "Section 2",
-            _e4_units, _e4_aggregate, _e4_legacy,
+            _e4_units, _e4_aggregate,
         ),
         ExperimentSpec(
             "E5", "Restricted adversaries", "Figure 1 / Section 4",
-            _e5_units, _e5_aggregate, _e5_legacy,
+            _e5_units, _e5_aggregate,
         ),
         ExperimentSpec(
             "E6", "Nonsplit bridge", "Section 4",
-            _e6_units, _e6_aggregate, _e6_legacy,
+            _e6_units, _e6_aggregate,
         ),
         ExperimentSpec(
             "E7", "Gossip extension", "Section 5",
-            _e7_units, _e7_aggregate, _e7_legacy,
+            _e7_units, _e7_aggregate,
         ),
         ExperimentSpec(
             "E8", "Design ablations", "(this repo)",
-            _e8_units, _e8_aggregate, _e8_legacy,
+            _e8_units, _e8_aggregate,
         ),
     ]
 }
@@ -731,8 +522,6 @@ def run_experiment(
     return run.decoded(graph, output), run
 
 
-def run_all(legacy: bool = False) -> List[ExperimentTable]:
-    """Run every registered experiment (facade over the task path)."""
-    return [
-        spec.run_legacy() if legacy else spec.run() for spec in list_experiments()
-    ]
+def run_all() -> List[ExperimentTable]:
+    """Run every registered experiment through the task path."""
+    return [spec.run() for spec in list_experiments()]

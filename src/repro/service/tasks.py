@@ -1067,9 +1067,10 @@ def _compute_nonsplit(
     from repro.gossip.consensus import blocks_are_nonsplit
     from repro.trees.generators import random_tree
 
-    # One shared RNG stream across the whole ns list, exactly as the
-    # legacy experiment drew its witness trees -- which is why this is a
-    # single task rather than a per-n grid.
+    # One RNG stream runs across the whole ns list: each n draws its
+    # witness trees where the previous n stopped, so the rows depend on
+    # each other -- which is why this is a single task rather than a
+    # per-n grid.
     rng = np.random.default_rng(payload["rng_seed"])
     rows = []
     for n in payload["ns"]:
@@ -1105,8 +1106,9 @@ def _compute_arc_game(
     from repro.adversaries.interval_game import arc_game_value
 
     n = payload["n"]
-    # Proved value n-1 beyond the solver's practical range (the legacy
-    # experiment's convention).
+    # The restricted game's value is n-1 (the exact solver finds it for
+    # every n it reaches); beyond ``solver_limit`` the exponential solve
+    # is skipped and that value reported.
     value = arc_game_value(n) if n <= payload["solver_limit"] else n - 1
     return {"n": n, "value": int(value)}
 

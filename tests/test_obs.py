@@ -396,3 +396,32 @@ def test_traced_engine_run_produces_kernel_spans(tmp_path):
     kernel = next(s for s in spans if s["name"] == "kernel")
     assert kernel["attrs"]["backend"]
     assert kernel["attrs"]["kernel"]
+
+
+def test_sharded_sweep_spans_join_the_callers_trace(tmp_path):
+    """A ``workers > 1`` library sweep carries the trace context into its
+    spawned workers: their shard, run-group and kernel spans land in the
+    caller's trace."""
+    from functools import partial
+
+    from repro.adversaries.oblivious import RandomTreeAdversary
+    from repro.adversaries.paths import StaticPathAdversary
+    from repro.analysis.sweep import sweep_adversaries
+
+    factories = {
+        "StaticPath": StaticPathAdversary,
+        "RandomTree": partial(RandomTreeAdversary, seed=0),
+    }
+    sink = tmp_path / "spans.jsonl"
+    obs_trace.enable(str(sink))
+    with obs_trace.span("caller"):
+        result = sweep_adversaries(factories, [4, 6], workers=2)
+    obs_trace.disable()
+    assert len(result.points) == 4
+
+    spans = obs_trace.read_spans(str(sink))
+    (caller,) = [s for s in spans if s["name"] == "caller"]
+    traced = [s for s in spans if s["trace_id"] == caller["trace_id"]]
+    names = {s["name"] for s in traced}
+    assert {"shard", "run_group", "kernel"} <= names
+    assert sum(s["name"] == "shard" for s in traced) == 2

@@ -1,12 +1,15 @@
-"""Sharded sweeps must be bit-identical to sequential, any worker count.
+"""Sharded runs must be bit-identical to sequential, any worker count.
 
-The contract of :class:`repro.engine.shard.ShardedSweepRunner` is strict:
-partitioning a sweep grid over a ``spawn`` process pool is a pure
+The contract of :class:`repro.engine.executor.ShardedExecutor` is strict:
+partitioning a spec list over a ``spawn`` process pool is a pure
 scheduling decision -- every :class:`SweepPoint` and every
 :class:`BroadcastResult` (t*, broadcasters, final matrix) must equal the
 sequential path element-wise for worker counts {1, 2, 7}, including
 uneven shards (grid size not divisible by the worker count), B=1 shards,
-and the n=1 degenerate game.  Worker processes are real (spawned), so
+and the n=1 degenerate game.  Sweeps reach it through
+``sweep_adversaries(..., workers=w)`` and
+``get_executor("sharded", workers=w).sweep(...)``; multi-seed grids are
+``run_many`` over seeded specs.  Worker processes are real (spawned), so
 these tests also pin spawn-safety of the payloads and backend-name
 propagation across the process boundary.
 """
@@ -19,14 +22,11 @@ import pytest
 
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
-from repro.analysis.sweep import sweep_adversaries
+from repro.analysis.sweep import sweep_adversaries, sweep_n
 from repro.core.backend import use_backend
+from repro.engine.executor import RunSpec, ShardedExecutor, get_executor
 from repro.engine.runner import run_multi_seed
-from repro.engine.shard import (
-    ShardedSweepRunner,
-    _split_shards,
-    default_sweep_factories,
-)
+from repro.engine.shard import default_sweep_factories, split_shards
 from repro.errors import SimulationError
 
 #: Worker counts exercised everywhere: inline, even split, more workers
@@ -40,6 +40,21 @@ FACTORIES = {
 }
 
 
+def _sharded_sweep(workers, factories, ns, **kwargs):
+    return get_executor("sharded", workers=workers).sweep(factories, ns, **kwargs)
+
+
+def _sharded_multi_seed(workers, n, seeds):
+    """:func:`run_multi_seed` over ``RandomTreeAdversary`` as seeded specs
+    through a sharded ``run_many``."""
+    specs = [
+        RunSpec(adversary=partial(RandomTreeAdversary, seed=seed), n=n, seed=seed)
+        for seed in seeds
+    ]
+    reports = ShardedExecutor(workers=workers).run_many(specs)
+    return [report.to_broadcast_result() for report in reports]
+
+
 def _states_equal(a, b) -> bool:
     return (
         a.t_star == b.t_star
@@ -50,18 +65,18 @@ def _states_equal(a, b) -> bool:
 
 class TestSplitShards:
     def test_balanced_contiguous(self):
-        assert _split_shards(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
+        assert split_shards(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
 
     def test_more_shards_than_items(self):
-        assert _split_shards([1, 2], 7) == [[1], [2]]
+        assert split_shards([1, 2], 7) == [[1], [2]]
 
     def test_empty(self):
-        assert _split_shards([], 4) == []
+        assert split_shards([], 4) == []
 
     def test_concatenation_preserves_order(self):
         items = list(range(23))
         for shards in (1, 2, 5, 7, 23, 40):
-            parts = _split_shards(items, shards)
+            parts = split_shards(items, shards)
             assert [x for part in parts for x in part] == items
 
 
@@ -72,55 +87,48 @@ class TestSweepEquivalence:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_sweep(self, workers, sequential):
-        runner = ShardedSweepRunner(workers=workers)
-        assert runner.sweep_adversaries(FACTORIES, [1, 4, 5, 6, 8]) == sequential
+        assert _sharded_sweep(workers, FACTORIES, [1, 4, 5, 6, 8]) == sequential
 
     def test_uneven_grid_seven_workers(self):
         # 5 grid points over 7 workers: five B=1 shards, two empty (dropped).
         facs = {"StaticPath": StaticPathAdversary}
         ns = [2, 3, 4, 5, 6]
         seq = sweep_adversaries(facs, ns)
-        assert ShardedSweepRunner(workers=7).sweep_adversaries(facs, ns) == seq
+        assert _sharded_sweep(7, facs, ns) == seq
+        assert sweep_adversaries(facs, ns, workers=7) == seq
 
     def test_single_point_grid(self):
         # B=1 total: degenerates to the inline path but must still agree.
         facs = {"StaticPath": StaticPathAdversary}
         seq = sweep_adversaries(facs, [6])
         for workers in WORKER_COUNTS:
-            assert (
-                ShardedSweepRunner(workers=workers).sweep_adversaries(facs, [6])
-                == seq
-            )
+            assert _sharded_sweep(workers, facs, [6]) == seq
 
     def test_n_equals_one(self):
         # The degenerate game is complete at round 0 before any tree.
         facs = {"StaticPath": StaticPathAdversary}
         seq = sweep_adversaries(facs, [1, 2])
         assert seq.points[0].t_star == 0
-        assert ShardedSweepRunner(workers=2).sweep_adversaries(facs, [1, 2]) == seq
+        assert _sharded_sweep(2, facs, [1, 2]) == seq
 
     def test_empty_grid(self):
-        runner = ShardedSweepRunner(workers=2)
-        assert runner.sweep_adversaries(FACTORIES, []) == sweep_adversaries(
-            FACTORIES, []
-        )
-        assert runner.sweep_adversaries({}, [4, 5]).points == []
+        assert _sharded_sweep(2, FACTORIES, []) == sweep_adversaries(FACTORIES, [])
+        assert _sharded_sweep(2, {}, [4, 5]).points == []
 
     def test_max_rounds_truncation_matches(self):
         # Truncated points are dropped identically on both paths.
         seq = sweep_adversaries(FACTORIES, [4, 8], max_rounds=5)
-        sharded = ShardedSweepRunner(workers=2).sweep_adversaries(
-            FACTORIES, [4, 8], max_rounds=5
-        )
-        assert sharded == seq
+        assert _sharded_sweep(2, FACTORIES, [4, 8], max_rounds=5) == seq
 
     def test_sweep_adversaries_workers_kwarg(self):
         seq = sweep_adversaries(FACTORIES, [4, 6])
-        assert sweep_adversaries(FACTORIES, [4, 6], workers=2) == seq
+        for workers in WORKER_COUNTS:
+            got = sweep_adversaries(FACTORIES, [4, 6], workers=workers)
+            assert got == seq
+            assert got.to_json() == seq.to_json()
 
     def test_sweep_n_sharded(self):
-        runner = ShardedSweepRunner(workers=2)
-        seq = runner.sweep_n(StaticPathAdversary, [2, 4, 6], name="sp")
+        seq = sweep_n(StaticPathAdversary, [2, 4, 6], name="sp", workers=2)
         assert [(p.adversary, p.n, p.t_star) for p in seq.points] == [
             ("sp", 2, 1),
             ("sp", 4, 3),
@@ -133,32 +141,25 @@ class TestMultiSeedEquivalence:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_results(self, workers):
-        factory = partial(RandomTreeAdversary, 9)
-        seq = run_multi_seed(factory, 9, self.SEEDS)
-        got = ShardedSweepRunner(workers=workers).run_multi_seed(
-            factory, 9, self.SEEDS
-        )
+        seq = run_multi_seed(partial(RandomTreeAdversary, 9), 9, self.SEEDS)
+        got = _sharded_multi_seed(workers, 9, self.SEEDS)
         assert len(got) == len(seq)
         assert all(_states_equal(a, b) for a, b in zip(seq, got))
 
     def test_single_seed(self):
-        factory = partial(RandomTreeAdversary, 7)
-        seq = run_multi_seed(factory, 7, [42])
-        got = ShardedSweepRunner(workers=2).run_multi_seed(factory, 7, [42])
+        seq = run_multi_seed(partial(RandomTreeAdversary, 7), 7, [42])
+        got = _sharded_multi_seed(2, 7, [42])
         assert _states_equal(seq[0], got[0])
 
     def test_empty_seeds(self):
-        assert ShardedSweepRunner(workers=2).run_multi_seed(
-            partial(RandomTreeAdversary, 5), 5, []
-        ) == []
+        assert _sharded_multi_seed(2, 5, []) == []
 
     def test_backend_propagates_to_workers(self):
-        factory = partial(RandomTreeAdversary, 8)
         with use_backend("bitset"):
-            got = ShardedSweepRunner(workers=2).run_multi_seed(
-                factory, 8, self.SEEDS[:4]
-            )
-        seq = run_multi_seed(factory, 8, self.SEEDS[:4], backend="bitset")
+            got = _sharded_multi_seed(2, 8, self.SEEDS[:4])
+        seq = run_multi_seed(
+            partial(RandomTreeAdversary, 8), 8, self.SEEDS[:4], backend="bitset"
+        )
         assert all(g.final_state.backend.name == "bitset" for g in got)
         assert all(_states_equal(a, b) for a, b in zip(seq, got))
 
@@ -166,24 +167,25 @@ class TestMultiSeedEquivalence:
 class TestValidationAndSafety:
     def test_workers_must_be_positive(self):
         with pytest.raises(SimulationError, match="workers"):
-            ShardedSweepRunner(workers=0)
+            ShardedExecutor(workers=0)
 
     def test_unknown_mp_context(self):
         with pytest.raises(SimulationError, match="mp_context"):
-            ShardedSweepRunner(workers=2, mp_context="threads")
+            ShardedExecutor(workers=2, mp_context="threads")
 
     def test_unpicklable_factory_fails_loudly(self):
-        runner = ShardedSweepRunner(workers=2)
         facs = {"lambda": lambda n: StaticPathAdversary(n)}
         with pytest.raises(SimulationError, match="picklable"):
-            runner.sweep_adversaries(facs, [4, 5])
+            ShardedExecutor(workers=2).run_many(
+                [RunSpec(adversary=facs["lambda"], n=n) for n in (4, 5)]
+            )
+        # A sharded library sweep raises the same error.
+        with pytest.raises(SimulationError, match="picklable"):
+            sweep_adversaries(facs, [4, 5], workers=2)
 
     def test_unpicklable_factory_fine_inline(self):
         # workers=1 never crosses a process boundary; closures are allowed.
-        runner = ShardedSweepRunner(workers=1)
-        got = runner.sweep_adversaries(
-            {"lambda": lambda n: StaticPathAdversary(n)}, [4, 5]
-        )
+        got = _sharded_sweep(1, {"lambda": lambda n: StaticPathAdversary(n)}, [4, 5])
         assert [p.t_star for p in got.points] == [3, 4]
 
     def test_default_factories_are_picklable(self):
